@@ -24,7 +24,6 @@ from .errors import (
     NearSupportError,
     NonConvergenceError,
     NumericalSingularityError,
-    QuadratureError,
     SpecbulkError,
     ValidationError,
 )
@@ -119,5 +118,4 @@ __all__ = [
     "NumericalSingularityError",
     "ConsistencyError",
     "NearSupportError",
-    "QuadratureError",
 ]

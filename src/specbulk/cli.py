@@ -27,7 +27,6 @@ from .errors import (
     NearSupportError,
     NonConvergenceError,
     NumericalSingularityError,
-    QuadratureError,
     SpecbulkError,
     ValidationError,
 )
@@ -44,7 +43,6 @@ _NUMERICAL_ERRORS = (
     NumericalSingularityError,
     NearSupportError,
     ConsistencyError,
-    QuadratureError,
 )
 
 

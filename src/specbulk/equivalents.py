@@ -11,9 +11,16 @@ driven by the k x k kernel
 
 and R(z1,z2) = diag(c) (I - Omega)^{-1} Omega diag(c)^{-1}.
 
-The module also provides the two channel functionals: the per-class trace
-n_a (1 + z c0 g_a(z)) and the log-determinant assembled by quadrature of
-tr Qtbar over the noise parameter.
+The module also provides the two channel functionals at z = -sigma^2: the
+per-class trace n_a (1 + z c0 g_a(z)) and the log-determinant, whose
+Shannon-transform equivalent is closed form in the fixed point (Hachem,
+Loubaton & Najim, Ann. Appl. Probab. 2007; Couillet, Debbah & Silverstein,
+IEEE Trans. Inf. Theory 2011):
+
+    log det(W W^T + sigma^2 I)
+        ~ p log sigma^2 + log det M + sum_a n_a [log(1 + gt_a) - gt_a / (1 + gt_a)]
+
+with M = I + sum_a c_a g_a C_a and gt_a = (1/p) tr C_a M^{-1} / sigma^2.
 """
 from __future__ import annotations
 
@@ -21,18 +28,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     ConsistencyError,
     NearSupportError,
-    QuadratureError,
+    NumericalSingularityError,
     ValidationError,
 )
 from .fixed_point import (
     DEFAULT_OPTIONS,
     ResolventPoint,
     SolverOptions,
+    _pair_traces,
+    _trace_terms,
     mixture_matrix,
     solve_g,
 )
@@ -68,24 +76,20 @@ class SecondOrderSet:
 def first_order(point: ResolventPoint, params: ModelParams) -> EquivalentSet:
     """Build (Qbar, Qtbar) from a converged point and certify the defining system."""
     z = point.z
-    m = mixture_matrix(point.g, params)
     try:
-        minv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
+        t, minv = _trace_terms(point.g, z, params)
+    except NumericalSingularityError as exc:
         raise NearSupportError(
             f"I + sum c_a g_a C_a is singular at z={z}"
         ) from exc
     q_tilde_bar = -minv / z
-    residual = np.abs(m @ minv - np.eye(params.p)).max()
+    residual = np.abs(mixture_matrix(point.g, params) @ minv - np.eye(params.p)).max()
     if residual > 1e-10:
         raise NearSupportError(
             f"defining system for Qtbar at z={z} solved to only {residual:.3e}"
         )
     # consistency with the solved point: (1/p) tr C_a Qtbar = gt_a
-    traces = np.array(
-        [np.einsum("ij,ji->", cov, q_tilde_bar) for cov in params.covariances]
-    ) / params.p
-    err = np.abs(traces - point.g_tilde).max()
+    err = np.abs(-t / z - point.g_tilde).max()
     if err > 1e-10 * (1.0 + np.abs(point.g_tilde).max()):
         raise ConsistencyError(
             f"tr C_a Qtbar disagrees with gt_a by {err:.3e} at z={z}"
@@ -103,14 +107,7 @@ def q_bar_trace(eq: EquivalentSet, params: ModelParams) -> complex:
 
 def pair_traces(eq1: EquivalentSet, eq2: EquivalentSet, params: ModelParams):
     """T_ab = (1/p) tr C_a Qtbar_1 C_b Qtbar_2 for all class pairs."""
-    k = params.k
-    x = [params.covariances[a] @ eq1.q_tilde_bar for a in range(k)]
-    y = [params.covariances[b] @ eq2.q_tilde_bar for b in range(k)]
-    t = np.empty((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            t[a, b] = np.einsum("ij,ji->", x[a], y[b])
-    return t / params.p
+    return _pair_traces(eq1.q_tilde_bar, eq2.q_tilde_bar, params)
 
 
 def omega_radius_bound(z1, z2, params: ModelParams) -> float:
@@ -233,57 +230,31 @@ def class_trace_functional(z: float, a: int, point: ResolventPoint,
     return float(params.class_sizes[a] * (1.0 + z * params.c0 * point.g[a].real))
 
 
-class _TraceIntegrand:
-    """tr Qtbar_{-t} as a function of t > 0, warm-started across calls."""
-
-    def __init__(self, params, opts):
-        self.params = params
-        self.opts = opts
-        self._g = None
-
-    def __call__(self, t: float) -> float:
-        point = solve_g(complex(-t, 0.0), self.params, self.opts, warm_start=self._g)
-        self._g = point.g
-        m = mixture_matrix(point.g, self.params)
-        return float(np.trace(np.linalg.inv(m)).real / t)
-
-
 def log_det_functional(sigma2: float, params: ModelParams,
                        opts: SolverOptions | None = None) -> float:
     """Deterministic equivalent of log det(W W^T + sigma^2 I_p).
 
-    Assembled from d/dt log det(W W^T + t I) = tr (W W^T + t I)^{-1} whose
-    equivalent is tr Qtbar_{-t}:
+    Closed form in the fixed point at z = -sigma^2 (Hachem, Loubaton &
+    Najim 2007; Couillet, Debbah & Silverstein 2011):
 
-        p log T - int_{sigma2}^{T} tr Qtbar_{-t} dt
-                - int_{T}^{inf} (tr Qtbar_{-t} - p/t) dt
+        p log sigma^2 + log det M + sum_a n_a [log(1 + gt_a) - gt_a / (1 + gt_a)]
 
-    with T = 1e3 (edge bound + sigma2). The tail integral is mapped to
-    [0, 1/T] by u = 1/t; absolute quadrature tolerance is 1e-6 p.
+    with M = I + sum_a c_a g_a C_a. Its sigma^2-derivative is tr Qtbar at
+    -sigma^2. The value is certified by the fixed-point residual of the
+    one real-axis solve; log det M comes from a Cholesky factor, which
+    also checks that M is positive definite (c0 g_a > 0 on the negative
+    axis).
     """
     if not sigma2 > 0:
         raise ValidationError(f"sigma2 must be positive, got {sigma2}")
-    opts = opts or DEFAULT_OPTIONS
-    p = params.p
-    edge_bound = (1.0 + np.sqrt(1.0 / params.c0)) ** 2 * params.c_max
-    t_big = 1e3 * (edge_bound + sigma2)
-    tol = 1e-6 * p
-
-    f = _TraceIntegrand(params, opts)
-    main, main_err = scipy.integrate.quad(
-        f, sigma2, t_big, epsabs=0.5 * tol, epsrel=0.0, limit=400
-    )
-
-    f_tail = _TraceIntegrand(params, opts)
-
-    def tail_integrand(u):
-        return (f_tail(1.0 / u) - p * u) / u**2
-
-    tail, tail_err = scipy.integrate.quad(
-        tail_integrand, 0.0, 1.0 / t_big, epsabs=0.4 * tol, epsrel=0.0, limit=200
-    )
-    if main_err + tail_err > tol:
-        raise QuadratureError(
-            f"log-det quadrature error {main_err + tail_err:.3e} exceeds {tol:.3e}"
-        )
-    return float(p * np.log(t_big) - main - tail)
+    point = solve_g(complex(-sigma2, 0.0), params, opts or DEFAULT_OPTIONS)
+    try:
+        chol = np.linalg.cholesky(mixture_matrix(point.g.real, params))
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(
+            f"I + sum c_a g_a C_a is not positive definite at z={-sigma2}"
+        ) from exc
+    gt = point.g_tilde.real
+    shannon = np.log1p(gt) - gt / (1.0 + gt)
+    return float(params.p * np.log(sigma2) + 2.0 * np.sum(np.log(np.diag(chol)))
+                 + np.asarray(params.class_sizes) @ shannon)

@@ -37,7 +37,3 @@ class ConsistencyError(SpecbulkError):
 
 class NearSupportError(SpecbulkError):
     """Evaluation too close to the spectral support for the requested object."""
-
-
-class QuadratureError(SpecbulkError):
-    """Adaptive quadrature failed to reach the requested tolerance."""

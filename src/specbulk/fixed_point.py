@@ -27,6 +27,7 @@ from .errors import (
     ConsistencyError,
     NonConvergenceError,
     NumericalSingularityError,
+    SpecbulkError,
     ValidationError,
 )
 from .model import ModelParams
@@ -91,7 +92,12 @@ def mixture_matrix(g, params: ModelParams) -> np.ndarray:
 
 
 def _trace_terms(g, z, params: ModelParams):
-    """Traces t_a = (1/p) tr C_a M^{-1} plus M^{-1} for M = I + sum c_b g_b C_b."""
+    """Traces t_a = (1/p) tr C_a M^{-1} plus M^{-1} for M = I + sum c_b g_b C_b.
+
+    The one place where M is inverted; every other consumer of M^{-1}
+    (the Psi map, its Jacobian, g', Qtbar, the Monte Carlo reports) goes
+    through here.
+    """
     m = mixture_matrix(g, params)
     try:
         minv = np.linalg.inv(m)
@@ -107,12 +113,7 @@ def _trace_terms(g, z, params: ModelParams):
 
 def psi_step(g, z, params: ModelParams):
     """One application of the fixed-point map Psi at the point z."""
-    g = np.asarray(g, dtype=complex)
-    t, _ = _trace_terms(g, z, params)
-    denom = z - t
-    if np.any(np.abs(denom) < _NORM_FLOOR):
-        raise NumericalSingularityError(f"vanishing denominator z - trace at z={z}", z=z)
-    return -1.0 / (params.c0 * denom)
+    return _psi_eval(np.asarray(g, dtype=complex), z, params)[0]
 
 
 def initial_guess(z, params: ModelParams) -> np.ndarray:
@@ -126,15 +127,27 @@ def _psi_jacobian(t, minv, z, params: ModelParams):
     dPsi_a/dg_b = (1/c0) (z - t_a)^{-2} c_b (1/p) tr C_a M^{-1} C_b M^{-1};
     at the fixed point this is the kernel Omega(z, z).
     """
-    k = params.k
-    x = [params.covariances[a] @ minv for a in range(k)]
-    pair = np.empty((k, k), dtype=minv.dtype)
-    for a in range(k):
-        for b in range(a, k):
-            pair[a, b] = np.einsum("ij,ji->", x[a], x[b])
-            pair[b, a] = pair[a, b]
+    pair = _pair_traces(minv, minv, params)
     u2 = (z - t) ** 2
-    return (params.c[None, :] / params.c0) * pair / params.p / u2[:, None]
+    return (params.c[None, :] / params.c0) * pair / u2[:, None]
+
+
+def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
+    """T_ab = (1/p) tr C_a L C_b R for all class pairs.
+
+    When R is L the matrix is symmetric (cyclic trace with symmetric C_a)
+    and only its upper triangle is computed.
+    """
+    k = params.k
+    x = [cov @ left for cov in params.covariances]
+    y = x if right is left else [cov @ right for cov in params.covariances]
+    pair = np.empty((k, k), dtype=np.result_type(left, right))
+    for a in range(k):
+        for b in range(a if y is x else 0, k):
+            pair[a, b] = np.einsum("ij,ji->", x[a], y[b])
+            if y is x:
+                pair[b, a] = pair[a, b]
+    return pair / params.p
 
 
 def _psi_eval(g, z, params):
@@ -462,8 +475,10 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     for i, zv in enumerate(zs):
         try:
             point = solve_g(zv, params, opts, warm_start=warm)
-        except Exception as exc:
-            raise type(exc)(f"grid index {i} (z={zv}): {exc}") from exc
+        except SpecbulkError as exc:
+            # annotate in place: the exception keeps its type and fields
+            exc.args = (f"grid index {i} (z={zv}): {exc}",)
+            raise
         points.append(point)
         warm = point.g
     return points
@@ -472,27 +487,24 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
 def g_derivative(point: ResolventPoint, params: ModelParams) -> np.ndarray:
     """g'(z) from the solved point via g' = c0 (I - Omega(z,z))^{-1} g^2.
 
-    Omega(z,z)_ab = c0 c_b (z g_a)^2 (1/p) tr C_a Qt_z C_b Qt_z collapses to
+    At the fixed point the Jacobian of Psi is the kernel Omega(z, z):
     c0 c_b g_a^2 (1/p) tr C_a M^{-1} C_b M^{-1} with M = I + sum c_b g_b C_b.
     """
     params = _require_validated(params)
     g = np.asarray(point.g, dtype=complex)
-    _, minv = _trace_terms(g, point.z, params)
-    k = params.k
-    x = [params.covariances[a] @ minv for a in range(k)]
-    pair = np.empty((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            pair[a, b] = np.einsum("ij,ji->", x[a], x[b])
-    omega = params.c0 * (g**2)[:, None] * params.c[None, :] * pair / params.p
+    t, minv = _trace_terms(g, point.z, params)
+    return _g_prime(_psi_jacobian(t, minv, point.z, params), g, point.z, params)
+
+
+def _g_prime(omega, g, z, params: ModelParams) -> np.ndarray:
+    """Solve (I - Omega) g' = c0 g^2 for the kernel Omega at a fixed point."""
     try:
-        deriv = np.linalg.solve(np.eye(k) - omega, params.c0 * g**2)
+        return np.linalg.solve(np.eye(params.k) - omega, params.c0 * g**2)
     except np.linalg.LinAlgError as exc:
         raise NumericalSingularityError(
-            f"I - Omega(z,z) singular at z={point.z}: too close to the support",
-            z=point.z,
+            f"I - Omega(z,z) singular at z={z}: too close to the support",
+            z=z,
         ) from exc
-    return deriv
 
 
 def _require_validated(params: ModelParams) -> ModelParams:

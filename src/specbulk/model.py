@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 
@@ -91,7 +90,8 @@ def build_covariance(spec: CovarianceSpec, p: int) -> np.ndarray:
         return spec.scale * np.eye(p)
     if spec.kind == "toeplitz":
         col = spec.scale * spec.rho ** np.arange(p)
-        return scipy.linalg.toeplitz(col)
+        idx = np.arange(p)
+        return col[np.abs(idx[:, None] - idx[None, :])]
     if spec.kind == "diagonal":
         if len(spec.values) != p:
             raise ValidationError(

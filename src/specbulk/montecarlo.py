@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalSingularityError, ValidationError
-from .fixed_point import mixture_matrix, solve_g
+from .fixed_point import _trace_terms, solve_g
 from .model import ModelParams, ModelSpec
 from .spectrum import DensityGrid
 
@@ -272,7 +272,7 @@ def convergence_report(params: ModelParams, z, trials: int, probes=None,
     point = solve_g(z, params)
     n, p, k = params.n, params.p, params.k
     q_bar = params.c0 * point.g  # per-class diagonal values
-    minv = np.linalg.inv(mixture_matrix(point.g, params))
+    _, minv = _trace_terms(point.g, z, params)
     qtbar_trace = complex(np.trace(-minv / z))
 
     slices = params.class_slices()

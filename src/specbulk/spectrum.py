@@ -24,6 +24,7 @@ from .errors import NumericalSingularityError, ValidationError
 from .fixed_point import (
     DEFAULT_OPTIONS,
     SolverOptions,
+    _g_prime,
     _psi_eval,
     _psi_jacobian,
     solve_g,
@@ -36,7 +37,6 @@ from .nonneg import spectral_radius
 # Lorentzian fill from neighboring bulks at this eta sits far below any
 # sensible threshold.
 EDGE_ETA = 1e-6
-_EDGE_BISECTIONS = 40
 # grid values below this fraction of the peak are candidates for lying
 # outside the support (and, on the threshold path, get re-verified at EDGE_ETA)
 _SUSPECT_FRACTION = 0.05
@@ -46,7 +46,8 @@ _CERTIFY_EVALS = 12
 # edge refinement: each step moves to within this fraction of the remaining
 # distance to the extrapolated edge, until that distance (or the bracket
 # left by a failed certificate) is below _EDGE_XTOL (1 + |edge|) or
-# _EDGE_STEPS steps have been made
+# _EDGE_STEPS steps have been made; threshold-crossing bisection stops at
+# the same relative width
 _EDGE_APPROACH = 0.1
 _EDGE_STEPS = 40
 _EDGE_XTOL = 1e-9
@@ -162,7 +163,7 @@ def _runs(mask) -> list[tuple[int, int]]:
 
 
 def _bisect_edge(lo, hi, evaluate, threshold, rising):
-    """Refine a support edge inside (lo, hi) at EDGE_ETA.
+    """Refine a support edge inside (lo, hi) at EDGE_ETA to _EDGE_XTOL (1 + |x|).
 
     rising=True means density crosses upward from lo to hi (a left edge).
     """
@@ -173,7 +174,7 @@ def _bisect_edge(lo, hi, evaluate, threshold, rising):
         # grid-eta smoothing misplaced the bracket by up to a cell; give up
         # refining rather than chase a sign pattern that is not there
         return lo if rising else hi
-    for _ in range(_EDGE_BISECTIONS):
+    while hi - lo > _EDGE_XTOL * (1.0 + abs(0.5 * (lo + hi))):
         mid = 0.5 * (lo + hi)
         above = (evaluate(mid) - threshold) > 0
         if above == rising:
@@ -260,7 +261,7 @@ def _certify(x, g0, params: ModelParams, tol) -> _RealPoint | None:
             rho = spectral_radius(omega)
             if not rho < 1.0:
                 return None
-            g_prime = np.linalg.solve(np.eye(params.k) - omega, params.c0 * g**2)
+            g_prime = _g_prime(omega, g, x, params)
     except (NumericalSingularityError, np.linalg.LinAlgError):
         return None
     return _RealPoint(x=float(x), g=g, g_prime=g_prime, gap=1.0 - rho)

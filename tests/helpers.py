@@ -1,6 +1,8 @@
 """Shared oracles and model builders for the test suite."""
 import numpy as np
+import scipy.integrate
 
+from specbulk.fixed_point import DEFAULT_OPTIONS, mixture_matrix, solve_g
 from specbulk.model import (
     CovarianceSpec,
     ModelParams,
@@ -74,3 +76,56 @@ def mp_density(x, c0):
         2 * np.pi * y * x[inside]
     )
     return out
+
+
+class _TraceIntegrand:
+    """tr Qtbar_{-t} as a function of t > 0, warm-started across calls."""
+
+    def __init__(self, params, opts):
+        self.params = params
+        self.opts = opts
+        self._g = None
+
+    def __call__(self, t: float) -> float:
+        point = solve_g(complex(-t, 0.0), self.params, self.opts, warm_start=self._g)
+        self._g = point.g
+        m = mixture_matrix(point.g, self.params)
+        return float(np.trace(np.linalg.inv(m)).real / t)
+
+
+def log_det_quadrature(sigma2, params, opts=None):
+    """Reference route to the log-det equivalent by quadrature of tr Qtbar.
+
+    Assembled from d/dt log det(W W^T + t I) = tr (W W^T + t I)^{-1} whose
+    equivalent is tr Qtbar_{-t}:
+
+        p log T - int_{sigma2}^{T} tr Qtbar_{-t} dt
+                - int_{T}^{inf} (tr Qtbar_{-t} - p/t) dt
+
+    with T = 1e3 (edge bound + sigma2). The tail integral is mapped to
+    [0, 1/T] by u = 1/t; absolute quadrature tolerance is 1e-6 p.
+    """
+    opts = opts or DEFAULT_OPTIONS
+    p = params.p
+    edge_bound = (1.0 + np.sqrt(1.0 / params.c0)) ** 2 * params.c_max
+    t_big = 1e3 * (edge_bound + sigma2)
+    tol = 1e-6 * p
+
+    f = _TraceIntegrand(params, opts)
+    main, main_err = scipy.integrate.quad(
+        f, sigma2, t_big, epsabs=0.5 * tol, epsrel=0.0, limit=400
+    )
+
+    f_tail = _TraceIntegrand(params, opts)
+
+    def tail_integrand(u):
+        return (f_tail(1.0 / u) - p * u) / u**2
+
+    tail, tail_err = scipy.integrate.quad(
+        tail_integrand, 0.0, 1.0 / t_big, epsabs=0.4 * tol, epsrel=0.0, limit=200
+    )
+    if main_err + tail_err > tol:
+        raise AssertionError(
+            f"log-det quadrature error {main_err + tail_err:.3e} exceeds {tol:.3e}"
+        )
+    return float(p * np.log(t_big) - main - tail)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mp_params, threeclass_params
+from helpers import log_det_quadrature, mp_params, threeclass_params
 
 from specbulk.equivalents import (
     SecondOrderSet,
@@ -16,7 +16,13 @@ from specbulk.equivalents import (
     second_order,
 )
 from specbulk.errors import ValidationError
-from specbulk.fixed_point import SolverOptions, g_derivative, solve_g
+from specbulk.fixed_point import (
+    SolverOptions,
+    _psi_jacobian,
+    _trace_terms,
+    g_derivative,
+    solve_g,
+)
 from specbulk.model import ModelParams, validate_model
 from specbulk.montecarlo import SampleSpectral, sample_w, trial_seed
 
@@ -133,6 +139,11 @@ class TestSecondOrder:
         m_minus = solve_g(z - h, threeclass128, opts).m_mu
         fd = (m_plus - m_minus) / (2 * h)
         assert abs(dm - fd) / abs(fd) <= 1e-5
+        # g' solves with the Jacobian of Psi, which at the fixed point is Omega(z, z)
+        t, minv = _trace_terms(pt.g, z, threeclass128)
+        jac = _psi_jacobian(t, minv, z, threeclass128)
+        omega = second_order(pt, pt, threeclass128).omega
+        assert np.abs(jac - omega).max() <= 1e-10 * np.abs(omega).max()
 
     def test_radius_below_one_random_models(self):
         rng = np.random.default_rng(6)
@@ -385,6 +396,27 @@ class TestLogDet:
         base = log_det_functional(1e4, params, OPTS)
         quadrupled = log_det_functional(4e4, params, OPTS)
         assert quadrupled - base == pytest.approx(64 * np.log(4.0), abs=0.2)
+
+    @pytest.mark.parametrize("model, sigma2", [
+        ("threeclass64", 0.1), ("threeclass64", 1.0), ("threeclass64", 1e4),
+        ("mp32", 0.5), ("mp32", 1.0), ("mp32", 4.0),
+    ])
+    def test_closed_form_matches_quadrature(self, model, sigma2):
+        params = (threeclass_params(64) if model == "threeclass64"
+                  else mp_params(1, 2, p=32))
+        value = log_det_functional(sigma2, params, OPTS)
+        reference = log_det_quadrature(sigma2, params, OPTS)
+        assert abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
+
+    def test_sigma2_derivative_is_qtbar_trace(self):
+        # d/dsigma2 of the equivalent is tr Qtbar(-sigma2)
+        params = threeclass_params(64)
+        sigma2, h = 1.0, 1e-5
+        fd = (log_det_functional(sigma2 + h, params, OPTS)
+              - log_det_functional(sigma2 - h, params, OPTS)) / (2 * h)
+        eq = first_order(solve_g(-sigma2, params, OPTS), params)
+        trace = np.trace(eq.q_tilde_bar).real
+        assert abs(fd - trace) <= 1e-7 * abs(trace)
 
     def test_rejects_nonpositive_sigma2(self):
         with pytest.raises(ValidationError):

@@ -170,8 +170,12 @@ class TestSolveGrid:
 
         params = mp_params(1, 1, p=4)
         starved = SolverOptions(tol=1e-12, max_iter=3)
-        with pytest.raises(NonConvergenceError, match="grid index 1"):
+        with pytest.raises(NonConvergenceError, match="grid index 1") as info:
             solve_grid([1e9j, 0.5 + 1e-8j], params, starved)
+        # the annotated exception keeps its context fields
+        assert info.value.z is not None
+        assert info.value.residual is not None
+        assert info.value.iterations is not None
 
     def test_eta_descent_stabilizes(self, threeclass256):
         # inside the bulk the density stabilizes between eta=1e-3 and 1e-4
