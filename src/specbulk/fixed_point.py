@@ -11,10 +11,13 @@ equivalently the fixed point of the map
     Psi_a(g) = -(1/c0) / (z - (1/p) tr C_a (I_p + sum_b c_b g_b C_b)^{-1}).
 
 The measure of interest has Stieltjes transform m(z) = c0 sum_a c_a g_a(z).
-Solving is done by damped Picard iteration on Psi, with continuation in
-the imaginary part toward the real axis and warm starting across nearby
-points. Real-axis values outside the support are obtained by descending
-the imaginary part to ~1e-9 and polishing at exactly zero.
+Solving is done by Newton's method on Psi(g) - g with the exact k x k
+Jacobian, falling back to a damped Picard step when no Newton step
+decreases the residual. Points near the real axis are reached by
+continuation in the imaginary part; sweeps warm-start each point from a
+secant prediction through the two previous solutions. Real-axis values
+outside the support are obtained by descending the imaginary part to
+~1e-9 and polishing at exactly zero.
 """
 from __future__ import annotations
 
@@ -45,10 +48,12 @@ _WARM_EVAL_CAP = 150
 class SolverOptions:
     """Fixed-point solver knobs.
 
-    tol is the relative sup-norm residual on g. damping in (0, 1] is the
-    Picard step fraction; it is halved adaptively when the iteration
-    oscillates. Points with |Im z| < continuation_start_im are reached by
-    halving the imaginary part from that level, warm-starting each level.
+    tol is the relative sup-norm residual on g. damping in (0, 1] sets only
+    the step fraction of the Picard fallback, taken when no Newton step
+    decreases the residual; it is halved (down to 1/64) whenever a
+    fallback step raises the residual. Points with |Im z| <
+    continuation_start_im are reached by halving the imaginary part from
+    that level, warm-starting each level.
     """
 
     tol: float = 1e-12
@@ -173,56 +178,40 @@ def _wrong_half_plane(candidate, z):
 
 
 def _iterate(z, g0, params: ModelParams, opts: SolverOptions):
-    """Damped Picard iteration on Psi from g0, at fixed z.
+    """Newton corrector on Psi(g) - g from g0, at fixed z.
 
-    Near the real axis the Picard multipliers approach the unit circle and
-    plain (real-)damped iteration stalls, so once slow progress is detected
-    the step switches to Newton on Psi(g) - g with the exact k x k Jacobian,
-    halving the Newton step until the true residual decreases. Every
-    candidate is judged on its actual residual, so the returned g always
-    satisfies ||Psi(g) - g||_inf <= tol ||g||_inf regardless of how the
-    step was produced.
+    Each step solves (I - J) s = Psi(g) - g with J the exact k x k
+    Jacobian of Psi at the current iterate, and halves s until the true
+    residual decreases. When no fraction decreases it, or I - J is
+    singular, one damped Picard step g + damping (Psi(g) - g) is taken
+    instead, and damping is halved (down to 1/64) whenever such a step
+    raises the residual. Every candidate is judged on its actual residual,
+    so the returned g always satisfies ||Psi(g) - g||_inf <= tol ||g||_inf
+    regardless of how the step was produced.
+
+    Returns (g, residual, evaluations, traces t_a at g).
     """
     g = np.asarray(g0, dtype=complex)
     f, resid, t, minv = _psi_eval(g, z, params)
     evals = 1
-    if resid <= opts.tol:
-        return g, resid, evals
     damping = opts.damping
-    prev_delta = None
-    prev_resid = np.inf
-    worse_count = 0
-    newton = False
-    jac = None
-    jac_age = 0
-    while evals < opts.max_iter:
+    eye = np.eye(params.k)
+    while not resid <= opts.tol:  # a NaN residual certifies nothing
+        if evals >= opts.max_iter:
+            raise NonConvergenceError(
+                f"no convergence at z={z} after {opts.max_iter} evaluations "
+                f"(last residual {resid:.3e})",
+                z=z,
+                residual=float(resid),
+                iterations=evals,
+            )
         delta = f - g
-
-        # Dominant-mode multiplier estimate from consecutive increments
-        # (unconjugated: the map is holomorphic in g).
-        mu = None
-        if prev_delta is not None:
-            denom_mu = prev_delta @ prev_delta
-            if abs(denom_mu) > _NORM_FLOOR:
-                mu = (prev_delta @ delta) / denom_mu
-
-        if not newton and evals >= 5 and resid > 100.0 * opts.tol:
-            slow_mode = mu is not None and abs(mu) > 0.6
-            slow_resid = prev_resid < np.inf and resid > 0.5 * prev_resid
-            if slow_mode or slow_resid:
-                newton = True
-
+        try:
+            step = np.linalg.solve(eye - _psi_jacobian(t, minv, z, params), delta)
+        except np.linalg.LinAlgError:
+            step = None
         stepped = False
-        if newton:
-            # chord variant: the Jacobian is refreshed only when stale,
-            # otherwise Newton costs one Psi application per step
-            if jac is None or jac_age >= 4:
-                jac = _psi_jacobian(t, minv, z, params)
-                jac_age = 0
-            try:
-                step = np.linalg.solve(np.eye(params.k) - jac, delta)
-            except np.linalg.LinAlgError:
-                step = delta
+        if step is not None:
             for frac in (1.0, 0.5, 0.25, 0.125):
                 candidate = g + frac * step
                 if _wrong_half_plane(candidate, z):
@@ -230,61 +219,19 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions):
                 f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
                 evals += 1
                 if resid_c < resid:
-                    prev_resid = resid
-                    prev_delta = None
                     g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
                     stepped = True
-                    jac_age += 1
                     break
                 if evals >= opts.max_iter:
                     break
-            if not stepped and jac_age > 0:
-                # stale Jacobian may be the culprit: rebuild and retry once
-                jac = _psi_jacobian(t, minv, z, params)
-                jac_age = 0
-                try:
-                    step = np.linalg.solve(np.eye(params.k) - jac, delta)
-                except np.linalg.LinAlgError:
-                    step = delta
-                candidate = g + step
-                if not _wrong_half_plane(candidate, z) and evals < opts.max_iter:
-                    f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
-                    evals += 1
-                    if resid_c < resid:
-                        prev_resid = resid
-                        prev_delta = None
-                        g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
-                        stepped = True
-                        jac_age = 1
-
-        if not stepped:
-            # damped Picard step (also the fallback when Newton stalls)
-            if resid > prev_resid:
-                worse_count += 1
-                if worse_count >= 2:
-                    damping = max(damping / 2.0, 1.0 / 64.0)
-                    worse_count = 0
-            else:
-                worse_count = 0
-            if (mu is not None and mu.real < -0.3 and abs(mu) > 0.6
-                    and damping > 0.5):
-                damping = max(damping / 2.0, 1.0 / 64.0)
+        if not stepped and evals < opts.max_iter:
             candidate = g + damping * delta
             f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
             evals += 1
-            prev_resid = resid
-            prev_delta = delta
+            if resid_c > resid:
+                damping = max(damping / 2.0, 1.0 / 64.0)
             g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
-
-        if resid <= opts.tol:
-            return g, resid, evals
-    raise NonConvergenceError(
-        f"no convergence at z={z} after {opts.max_iter} evaluations "
-        f"(last residual {resid:.3e})",
-        z=z,
-        residual=float(resid),
-        iterations=evals,
-    )
+    return g, resid, evals, t
 
 
 def _check_admissible(z, g, params: ModelParams, tol):
@@ -312,8 +259,8 @@ def _check_admissible(z, g, params: ModelParams, tol):
         )
 
 
-def _finish(z, g, resid, evals, params: ModelParams) -> ResolventPoint:
-    t, _ = _trace_terms(g, z, params)
+def _finish(z, g, resid, evals, t, params: ModelParams) -> ResolventPoint:
+    """Package a solved point; t holds the traces t_a already taken at g."""
     g_tilde = -t / z
     m_mu = params.c0 * complex(params.c @ g)
     g = g.copy()
@@ -354,8 +301,7 @@ def _capped(opts: SolverOptions) -> SolverOptions:
 def _solve_complex(z, params, opts, warm_start=None):
     if warm_start is not None:
         try:
-            g, resid, evals = _iterate(z, warm_start, params, _capped(opts))
-            return g, resid, evals
+            return _iterate(z, warm_start, params, _capped(opts))
         except NonConvergenceError:
             pass  # fall back to a fresh continuation ladder
     if abs(z.imag) >= opts.continuation_start_im:
@@ -366,9 +312,9 @@ def _solve_complex(z, params, opts, warm_start=None):
     for eta in _continuation_levels(abs(z.imag), opts.continuation_start_im):
         z_level = complex(z.real, sign * eta)
         g0 = initial_guess(z_level, params) if g is None else g
-        g, resid, evals = _iterate(z_level, g0, params, opts)
+        g, resid, evals, t = _iterate(z_level, g0, params, opts)
         total += evals
-    return g, resid, total
+    return g, resid, total, t
 
 
 def _solve_real(z, params, opts, warm_start=None):
@@ -377,8 +323,8 @@ def _solve_real(z, params, opts, warm_start=None):
     total = 0
     if warm_start is not None:
         try:
-            g, resid, evals = _iterate(complex(x, 0.0), warm_start, params,
-                                       _capped(opts))
+            g, resid, evals, _ = _iterate(complex(x, 0.0), warm_start, params,
+                                          _capped(opts))
             total = evals
         except NonConvergenceError:
             warm_start = None
@@ -387,16 +333,10 @@ def _solve_real(z, params, opts, warm_start=None):
         for eta in _continuation_levels(_REAL_AXIS_ETA_FLOOR, opts.continuation_start_im):
             z_level = complex(x, eta)
             g0 = initial_guess(z_level, params) if g is None else g
-            g, resid, evals = _iterate(z_level, g0, params, opts)
+            g, resid, evals, _ = _iterate(z_level, g0, params, opts)
             total += evals
-        # final undamped polish at exactly eta = 0
-        polish = SolverOptions(
-            tol=opts.tol,
-            max_iter=opts.max_iter,
-            damping=1.0,
-            continuation_start_im=opts.continuation_start_im,
-        )
-        g, resid, evals = _iterate(complex(x, 0.0), g, params, polish)
+        # final polish at exactly eta = 0
+        g, resid, evals, _ = _iterate(complex(x, 0.0), g, params, opts)
         total += evals
     rel_imag = np.abs(g.imag).max() / (np.abs(g).max() + _NORM_FLOOR)
     if rel_imag > 1e-6:
@@ -412,7 +352,7 @@ def _solve_real(z, params, opts, warm_start=None):
         raise ConsistencyError(
             f"real-axis solve at z={x} lost positivity of c0 g_a"
         )
-    return g, resid, total
+    return g, resid, total, t
 
 
 def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
@@ -437,9 +377,9 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
                 f"warm start has shape {warm_start.shape}, expected ({params.k},)"
             )
     if z.imag == 0.0:
-        g, resid, evals = _solve_real(z, params, opts, warm_start)
+        g, resid, evals, t = _solve_real(z, params, opts, warm_start)
     else:
-        g, resid, evals = _solve_complex(z, params, opts, warm_start)
+        g, resid, evals, t = _solve_complex(z, params, opts, warm_start)
         try:
             _check_admissible(z, g, params, opts.tol)
         except ConsistencyError:
@@ -447,19 +387,25 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
                 raise
             # a warm start across a support edge can land on the conjugate
             # branch; redo the point through the continuation ladder
-            g, resid, evals2 = _solve_complex(z, params, opts, None)
+            g, resid, evals2, t = _solve_complex(z, params, opts, None)
             evals += evals2
             _check_admissible(z, g, params, opts.tol)
-    return _finish(z, g, resid, evals, params)
+    return _finish(z, g, resid, evals, t, params)
 
 
 def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
-    """Warm-started sweep over an ordered list of complex points.
+    """Predictor-corrector sweep over an ordered list of complex points.
 
-    Point i+1 starts from point i's solution; the first point (and any
+    Point i+1 starts from the secant predictor
+    g_i + (z_{i+1} - z_i) / (z_i - z_{i-1}) (g_i - g_{i-1}), scaled by the
+    actual spacings so that non-uniform grids are followed too; the second
+    point starts from the first point's solution. The first point (and any
     point where the warm start fails) goes through the continuation
-    ladder inside solve_g. Real grid points are rejected: evaluating on
-    the axis requires an explicit eta (see the spectrum module).
+    ladder inside solve_g. A prediction on the wrong half-plane is replaced
+    by the previous solution. The predictor only moves the starting guess:
+    each point is certified by its own residual and half-plane signs.
+    Real grid points are rejected: evaluating on the axis requires an
+    explicit eta (see the spectrum module).
     """
     zs = [complex(zv) for zv in zs]
     if not zs:
@@ -473,6 +419,14 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     points = []
     warm = None
     for i, zv in enumerate(zs):
+        if i >= 2 and points[-1].z != points[-2].z:
+            last, prev = points[-1], points[-2]
+            guess = last.g + (zv - last.z) / (last.z - prev.z) * (last.g - prev.g)
+            # next to a singularity of g at zero (an atom or a hard edge) the
+            # secant can leave the admissible half-plane; the last solution
+            # is the better start then
+            if not _wrong_half_plane(guess, zv):
+                warm = guess
         try:
             point = solve_g(zv, params, opts, warm_start=warm)
         except SpecbulkError as exc:

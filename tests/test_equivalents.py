@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from specbulk.equivalents import (
     qt_w_da_wt_qt_equivalent,
     second_order,
 )
-from specbulk.errors import ValidationError
+from specbulk.errors import ConsistencyError, ValidationError
 from specbulk.fixed_point import (
     SolverOptions,
     _psi_jacobian,
@@ -72,6 +74,16 @@ class TestFirstOrder:
             vals.append(sp.trace_q(z).real / threeclass128.n)
         mean, se = _mc_mean_se(vals)
         assert abs(mean - det.real) <= MC_SIGMAS * se
+
+    def test_trace_consistency_rejects_edited_point(self):
+        # a point from solve_g agrees with its own traces; one whose g_tilde
+        # no longer matches its g must be refused
+        params = threeclass_params(64)
+        pt = solve_g(-1.0, params, OPTS)
+        first_order(pt, params)
+        edited = dataclasses.replace(pt, g_tilde=pt.g_tilde + 1e-6)
+        with pytest.raises(ConsistencyError, match="disagrees with gt_a"):
+            first_order(edited, params)
 
 
 class TestSecondOrder:

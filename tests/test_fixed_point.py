@@ -3,9 +3,11 @@ import pytest
 
 from helpers import mp_params, mp_stieltjes, threeclass_params
 
+from specbulk import fixed_point
 from specbulk.errors import ValidationError
 from specbulk.fixed_point import (
     SolverOptions,
+    _check_admissible,
     g_derivative,
     initial_guess,
     psi_step,
@@ -138,6 +140,22 @@ class TestSolveG:
         with pytest.raises(ValidationError):
             solve_g(0.0, mp_params(1, 1, p=4))
 
+    @pytest.mark.parametrize("z, extra", [(2 + 1j, 0), (-1.0, 1)])
+    def test_one_inversion_per_evaluation(self, monkeypatch, z, extra):
+        # g_tilde comes from the traces of the last evaluation; only the
+        # real-axis projection takes one more set of traces
+        params = threeclass_params(64)
+        calls = []
+        inner = fixed_point._trace_terms
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(fixed_point, "_trace_terms", counted)
+        point = solve_g(z, params)
+        assert len(calls) == point.iterations + extra
+
     def test_unvalidated_params_rejected(self):
         raw = ModelParams(p=4, class_sizes=(4,), covariances=(np.eye(4),))
         with pytest.raises(ValidationError, match="validate_model"):
@@ -176,6 +194,40 @@ class TestSolveGrid:
         assert info.value.z is not None
         assert info.value.residual is not None
         assert info.value.iterations is not None
+
+    def test_sweep_cost(self):
+        # the secant predictor plus the Newton corrector on the shipped
+        # density grid; cold solves at spread points give the same g
+        params = threeclass_params(64)
+        zs = np.linspace(0.0, 30.0, 601) + 0.005j
+        pts = solve_grid(zs, params)
+        evals = sum(pt.iterations for pt in pts)
+        assert evals <= 5 * len(zs)
+        for i in (1, 150, 300, 450, 600):
+            cold = solve_g(zs[i], params)
+            assert np.abs(pts[i].g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+
+    def test_predictor_across_support_gap(self):
+        # uneven steps from below the lower component (0.66, 1.13) into it,
+        # across the gap to 4.23 and deep into the upper component: the
+        # predictor may start far off, the answer may not
+        params = threeclass_params(64)
+        xs = [0.5, 0.55, 0.9, 2.0, 2.05, 3.0, 20.0]
+        pts = solve_grid([x + 1e-3j for x in xs], params)
+        for x, pt in zip(xs, pts):
+            cold = solve_g(x + 1e-3j, params)
+            assert np.abs(pt.g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+            _check_admissible(pt.z, pt.g, params, 1e-12)
+
+    def test_predictor_kept_in_half_plane(self):
+        # next to the hard edge at zero (c0 = 1, g ~ z^{-1/2}) the secant
+        # through g(0.002i) and g(0.02 + 0.002i) lands in the lower
+        # half-plane; starting from the last solution takes a few steps
+        params = mp_params(1, 1, p=32)
+        pts = solve_grid([0.002j, 0.02 + 0.002j, 0.04 + 0.002j], params)
+        cold = solve_g(0.04 + 0.002j, params)
+        assert np.abs(pts[2].g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+        assert pts[2].iterations <= 10
 
     def test_eta_descent_stabilizes(self, threeclass256):
         # inside the bulk the density stabilizes between eta=1e-3 and 1e-4
