@@ -104,9 +104,7 @@ def model_from_config(cfg: dict) -> ModelParams:
 
 def solver_from_config(cfg: dict) -> SolverOptions:
     section = cfg.get("solver", {})
-    _require_keys(
-        section, {"tol", "max_iter", "damping", "continuation_start_im"}, "solver"
-    )
+    _require_keys(section, {"tol", "max_iter"}, "solver")
     try:
         return SolverOptions(**section)
     except (ValidationError, TypeError) as exc:

@@ -22,7 +22,7 @@ outside the support are obtained by descending the imaginary part to
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,34 +42,31 @@ _REAL_AXIS_ETA_FLOOR = 1e-9
 # Evaluation budget for a warm-start attempt before falling back to the
 # continuation ladder (a warm start from across a support edge can stall).
 _WARM_EVAL_CAP = 150
+# Step fraction of the first damped Picard fallback step; halved (down to
+# 1/64) whenever a fallback step raises the residual.
+_PICARD_DAMPING = 1.0
+# Points with |Im z| below this level are reached by halving the imaginary
+# part from it, warm-starting each level.
+_CONTINUATION_START_IM = 1.0
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Fixed-point solver knobs.
 
-    tol is the relative sup-norm residual on g. damping in (0, 1] sets only
-    the step fraction of the Picard fallback, taken when no Newton step
-    decreases the residual; it is halved (down to 1/64) whenever a
-    fallback step raises the residual. Points with |Im z| <
-    continuation_start_im are reached by halving the imaginary part from
-    that level, warm-starting each level.
+    tol is the relative sup-norm residual on g; max_iter caps the Psi
+    evaluations of one iteration at a fixed z (one level of the
+    continuation ladder).
     """
 
     tol: float = 1e-12
     max_iter: int = 10_000
-    damping: float = 1.0
-    continuation_start_im: float = 1.0
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValidationError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValidationError(f"damping must lie in (0, 1], got {self.damping}")
-        if not self.continuation_start_im > 0:
-            raise ValidationError("continuation_start_im must be positive")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -184,17 +181,18 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions):
     Jacobian of Psi at the current iterate, and halves s until the true
     residual decreases. When no fraction decreases it, or I - J is
     singular, one damped Picard step g + damping (Psi(g) - g) is taken
-    instead, and damping is halved (down to 1/64) whenever such a step
-    raises the residual. Every candidate is judged on its actual residual,
-    so the returned g always satisfies ||Psi(g) - g||_inf <= tol ||g||_inf
-    regardless of how the step was produced.
+    instead; damping starts at _PICARD_DAMPING and is halved (down to
+    1/64) whenever such a step raises the residual. Every candidate is
+    judged on its actual residual, so the returned g always satisfies
+    ||Psi(g) - g||_inf <= tol ||g||_inf regardless of how the step was
+    produced.
 
     Returns (g, residual, evaluations, traces t_a at g).
     """
     g = np.asarray(g0, dtype=complex)
     f, resid, t, minv = _psi_eval(g, z, params)
     evals = 1
-    damping = opts.damping
+    damping = _PICARD_DAMPING
     eye = np.eye(params.k)
     while not resid <= opts.tol:  # a NaN residual certifies nothing
         if evals >= opts.max_iter:
@@ -276,10 +274,10 @@ def _finish(z, g, resid, evals, t, params: ModelParams) -> ResolventPoint:
     )
 
 
-def _continuation_levels(target_im, start_im):
-    """Imaginary parts from start_im down to target_im by halving."""
+def _continuation_levels(target_im):
+    """Imaginary parts from _CONTINUATION_START_IM down to target_im by halving."""
     levels = []
-    eta = start_im
+    eta = _CONTINUATION_START_IM
     while eta > target_im * (1.0 + 1e-12):
         levels.append(eta)
         eta /= 2.0
@@ -288,14 +286,7 @@ def _continuation_levels(target_im, start_im):
 
 
 def _capped(opts: SolverOptions) -> SolverOptions:
-    if opts.max_iter <= _WARM_EVAL_CAP:
-        return opts
-    return SolverOptions(
-        tol=opts.tol,
-        max_iter=_WARM_EVAL_CAP,
-        damping=opts.damping,
-        continuation_start_im=opts.continuation_start_im,
-    )
+    return replace(opts, max_iter=min(opts.max_iter, _WARM_EVAL_CAP))
 
 
 def _solve_complex(z, params, opts, warm_start=None):
@@ -304,12 +295,12 @@ def _solve_complex(z, params, opts, warm_start=None):
             return _iterate(z, warm_start, params, _capped(opts))
         except NonConvergenceError:
             pass  # fall back to a fresh continuation ladder
-    if abs(z.imag) >= opts.continuation_start_im:
+    if abs(z.imag) >= _CONTINUATION_START_IM:
         return _iterate(z, initial_guess(z, params), params, opts)
     sign = 1.0 if z.imag > 0 else -1.0
     total = 0
     g = None
-    for eta in _continuation_levels(abs(z.imag), opts.continuation_start_im):
+    for eta in _continuation_levels(abs(z.imag)):
         z_level = complex(z.real, sign * eta)
         g0 = initial_guess(z_level, params) if g is None else g
         g, resid, evals, t = _iterate(z_level, g0, params, opts)
@@ -320,23 +311,17 @@ def _solve_complex(z, params, opts, warm_start=None):
 def _solve_real(z, params, opts, warm_start=None):
     """Real z outside the support: descend in Im z, then polish at eta = 0."""
     x = float(z.real)
-    total = 0
     if warm_start is not None:
         try:
-            g, resid, evals, _ = _iterate(complex(x, 0.0), warm_start, params,
-                                          _capped(opts))
-            total = evals
+            g, _, total, _ = _iterate(complex(x, 0.0), warm_start, params,
+                                      _capped(opts))
         except NonConvergenceError:
             warm_start = None
     if warm_start is None:
-        g = None
-        for eta in _continuation_levels(_REAL_AXIS_ETA_FLOOR, opts.continuation_start_im):
-            z_level = complex(x, eta)
-            g0 = initial_guess(z_level, params) if g is None else g
-            g, resid, evals, _ = _iterate(z_level, g0, params, opts)
-            total += evals
+        g, _, total, _ = _solve_complex(complex(x, _REAL_AXIS_ETA_FLOOR),
+                                        params, opts)
         # final polish at exactly eta = 0
-        g, resid, evals, _ = _iterate(complex(x, 0.0), g, params, opts)
+        g, _, evals, _ = _iterate(complex(x, 0.0), g, params, opts)
         total += evals
     rel_imag = np.abs(g.imag).max() / (np.abs(g).max() + _NORM_FLOOR)
     if rel_imag > 1e-6:
@@ -359,11 +344,11 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
             warm_start=None) -> ResolventPoint:
     """Solve the coupled fixed-point system at one complex point.
 
-    Points with small |Im z| are reached by continuation from
-    Re z + i * continuation_start_im unless a warm start is supplied, in
-    which case direct iteration is tried first. Real z must lie outside
-    the support (and away from 0); this is verified a posteriori via the
-    residual and the vanishing imaginary part.
+    Points with |Im z| < 1 are reached by continuation from Re z + i
+    unless a warm start is supplied, in which case direct iteration is
+    tried first. Real z must lie outside the support (and away from 0);
+    this is verified a posteriori via the residual and the vanishing
+    imaginary part.
     """
     opts = opts or DEFAULT_OPTIONS
     params = _require_validated(params)

@@ -6,10 +6,7 @@ outside when the fixed-point system has a real solution there whose
 kernel Omega(x, x) has spectral radius below one (the real-axis
 characterisation of Silverstein & Choi, 1995). Each support edge is
 located from the outside, where 1 - rho(Omega(x, x)) vanishes like the
-square root of the distance to the edge. A density threshold, when one is
-given explicitly, defines the support instead; its boundaries are refined
-at eta_edge = 1e-6, where Lorentzian smoothing is negligible at the
-threshold scale.
+square root of the distance to the edge.
 """
 from __future__ import annotations
 
@@ -33,12 +30,8 @@ from .fixed_point import (
 from .model import ModelParams
 from .nonneg import spectral_radius
 
-# eta used for edge verification/bisection on the explicit-threshold path;
-# Lorentzian fill from neighboring bulks at this eta sits far below any
-# sensible threshold.
-EDGE_ETA = 1e-6
 # grid values below this fraction of the peak are candidates for lying
-# outside the support (and, on the threshold path, get re-verified at EDGE_ETA)
+# outside the support
 _SUSPECT_FRACTION = 0.05
 # Psi evaluations allowed for one real-axis certificate; a warm-started
 # Newton solve outside the support needs a handful
@@ -46,11 +39,12 @@ _CERTIFY_EVALS = 12
 # edge refinement: each step moves to within this fraction of the remaining
 # distance to the extrapolated edge, until that distance (or the bracket
 # left by a failed certificate) is below _EDGE_XTOL (1 + |edge|) or
-# _EDGE_STEPS steps have been made; threshold-crossing bisection stops at
-# the same relative width
+# _EDGE_STEPS steps have been made
 _EDGE_APPROACH = 0.1
 _EDGE_STEPS = 40
 _EDGE_XTOL = 1e-9
+# decreasing eta ladder for the atom's Aitken extrapolation
+_ATOM_ETAS = (1e-3, 1e-4, 1e-5)
 
 
 @dataclass(frozen=True)
@@ -84,33 +78,7 @@ def density_at(x: float, eta: float, params: ModelParams,
     return max(point.m_mu.imag / np.pi, 0.0)
 
 
-class _WarmDensity:
-    """Chained density evaluations at fixed eta, warm-started point to point.
-
-    When the measure has an atom at zero, its smoothing kernel is removed
-    so that values are comparable with the continuous density stored on
-    grids.
-    """
-
-    def __init__(self, params, opts, eta, atom=0.0):
-        self.params = params
-        self.opts = opts
-        self.eta = eta
-        self.atom = atom
-        self._g = None
-
-    def __call__(self, x: float) -> float:
-        point = solve_g(complex(x, self.eta), self.params, self.opts,
-                        warm_start=self._g)
-        self._g = point.g
-        val = point.m_mu.imag / np.pi
-        if self.atom > 0.0:
-            val -= self.atom * (self.eta / np.pi) / (x**2 + self.eta**2)
-        return max(val, 0.0)
-
-
-def atom_at_zero(params: ModelParams, opts: SolverOptions | None = None,
-                 etas=(1e-3, 1e-4, 1e-5)) -> float:
+def atom_at_zero(params: ModelParams, opts: SolverOptions | None = None) -> float:
     """Mass of the atom at zero.
 
     With every class covariance nonsingular the rank argument is exact:
@@ -126,11 +94,11 @@ def atom_at_zero(params: ModelParams, opts: SolverOptions | None = None,
         return max(0.0, 1.0 - params.c0)
     vals = []
     warm = None
-    for eta in sorted(etas, reverse=True):
+    for eta in _ATOM_ETAS:
         point = solve_g(1j * eta, params, opts, warm_start=warm)
         warm = point.g
         vals.append(min(max((-1j * eta * point.m_mu).real, 0.0), 1.0))
-    a1, a2, a3 = vals[-3:] if len(vals) >= 3 else (vals + vals)[:3]
+    a1, a2, a3 = vals
     d1, d2 = a2 - a1, a3 - a2
     if d1 * d2 <= 0 or abs(d2) >= abs(d1):
         if abs(d2) > 1e-12:
@@ -162,47 +130,18 @@ def _runs(mask) -> list[tuple[int, int]]:
     return out
 
 
-def _bisect_edge(lo, hi, evaluate, threshold, rising):
-    """Refine a support edge inside (lo, hi) at EDGE_ETA to _EDGE_XTOL (1 + |x|).
-
-    rising=True means density crosses upward from lo to hi (a left edge).
-    """
-    f_lo = evaluate(lo) - threshold
-    f_hi = evaluate(hi) - threshold
-    want_lo, want_hi = (-1, 1) if rising else (1, -1)
-    if np.sign(f_lo) != want_lo or np.sign(f_hi) != want_hi:
-        # grid-eta smoothing misplaced the bracket by up to a cell; give up
-        # refining rather than chase a sign pattern that is not there
-        return lo if rising else hi
-    while hi - lo > _EDGE_XTOL * (1.0 + abs(0.5 * (lo + hi))):
-        mid = 0.5 * (lo + hi)
-        above = (evaluate(mid) - threshold) > 0
-        if above == rising:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def support_detect(grid: DensityGrid, threshold: float | None = None):
+def support_detect(grid: DensityGrid):
     """Support of the measure as disjoint closed intervals.
 
-    By default the support is the complement of the certified outside
-    set. Grid points whose density is below 5% of the peak are the
-    candidates; such a point counts as outside only when a real-axis Newton
-    solve, started from the real part of the grid solution, returns a real
-    fixed point with rho(Omega(x, x)) < 1 (points at x <= 0 are outside
-    outright: the Gram matrix is positive semidefinite and the atom at
-    zero is reported separately). Every other point is in the support.
-    Each edge is then located from the outside, where 1 - rho(Omega(x, x))
-    vanishes like sqrt(|x - edge|).
-
-    With an explicit threshold the support is instead the region where the
-    density exceeds it: runs of grid density above the threshold are
-    candidates; low-lying candidate points are re-evaluated at EDGE_ETA to
-    discard Lorentzian fill from the grid's larger eta, and the surviving
-    run boundaries are refined by bisection at EDGE_ETA. Runs closer than
-    two grid spacings are merged.
+    The support is the complement of the certified outside set. Grid
+    points whose density is below 5% of the peak are the candidates; such
+    a point counts as outside only when a real-axis Newton solve, started
+    from the real part of the grid solution, returns a real fixed point
+    with rho(Omega(x, x)) < 1 (points at x <= 0 are outside outright: the
+    Gram matrix is positive semidefinite and the atom at zero is reported
+    separately). Every other point is in the support. Each edge is then
+    located from the outside, where 1 - rho(Omega(x, x)) vanishes like
+    sqrt(|x - edge|).
     """
     xs = np.asarray(grid.xs, dtype=float)
     if xs.size == 0:
@@ -211,11 +150,7 @@ def support_detect(grid: DensityGrid, threshold: float | None = None):
     peak = dens.max()
     if peak <= 0.0:
         return ()
-    if threshold is None:
-        return _certified_support(grid, xs, dens < _SUSPECT_FRACTION * peak)
-    if not threshold > 0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
-    return _threshold_support(grid, xs, dens, peak, threshold)
+    return _certified_support(grid, xs, dens < _SUSPECT_FRACTION * peak)
 
 
 @dataclass(frozen=True)
@@ -365,67 +300,6 @@ def _certified_support(grid: DensityGrid, xs, candidates):
     if start is not None:
         intervals.append((start, float(xs[-1])))
     return tuple((max(left, 0.0), right) for left, right in intervals)
-
-
-def _threshold_support(grid: DensityGrid, xs, dens, peak, threshold):
-    dx = xs[1] - xs[0] if xs.size > 1 else 0.0
-
-    mask = dens > threshold
-    # verify low-lying points at EDGE_ETA: grid-eta smoothing fills true
-    # gaps at the level eta/(pi dist^2), far above threshold on coarse grids
-    suspect = mask & (dens < _SUSPECT_FRACTION * peak)
-    if suspect.any() and grid.eta > 2 * EDGE_ETA:
-        evaluate = _WarmDensity(grid.params, grid.opts, EDGE_ETA,
-                                atom=grid.atom_at_zero)
-        for i in np.flatnonzero(suspect):
-            mask[i] = evaluate(xs[i]) > threshold
-
-    runs = _runs(mask)
-    if not runs:
-        return ()
-
-    # trim run ends whose grid values are pure smoothing fill: verify the
-    # boundary-adjacent points at EDGE_ETA and walk inward until the true
-    # density exceeds the threshold
-    if grid.eta > 2 * EDGE_ETA:
-        trimmed = []
-        for lo, hi in runs:
-            evaluate = _WarmDensity(grid.params, grid.opts, EDGE_ETA,
-                                    atom=grid.atom_at_zero)
-            while lo <= hi and evaluate(xs[lo]) <= threshold:
-                lo += 1
-            while hi >= lo and evaluate(xs[hi]) <= threshold:
-                hi -= 1
-            if lo <= hi:
-                trimmed.append((lo, hi))
-        runs = trimmed
-        if not runs:
-            return ()
-
-    # merge runs separated by less than two grid spacings
-    merged = [runs[0]]
-    for lo, hi in runs[1:]:
-        if xs[lo] - xs[merged[-1][1]] < 2.0 * dx:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-
-    intervals = []
-    for lo, hi in merged:
-        evaluate = _WarmDensity(grid.params, grid.opts, EDGE_ETA,
-                                atom=grid.atom_at_zero)
-        if lo > 0:
-            left = _bisect_edge(xs[lo - 1], xs[lo], evaluate, threshold, rising=True)
-        else:
-            left = xs[0]
-        evaluate = _WarmDensity(grid.params, grid.opts, EDGE_ETA,
-                                atom=grid.atom_at_zero)
-        if hi < xs.size - 1:
-            right = _bisect_edge(xs[hi], xs[hi + 1], evaluate, threshold, rising=False)
-        else:
-            right = xs[-1]
-        intervals.append((max(float(left), 0.0), float(right)))
-    return tuple(intervals)
 
 
 def density_grid(x_min: float, x_max: float, n_points: int, params: ModelParams,

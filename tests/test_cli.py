@@ -42,18 +42,22 @@ class TestDensityCommand:
         assert hi == pytest.approx(4.0, abs=0.05)
         assert "config_sha256" in payload
 
-    def test_unknown_key_is_config_error(self, tmp_path, capsys):
-        cfg = _write_config(
-            tmp_path,
-            {
-                "version": 1,
-                "model": MP_MODEL,
-                "density": {"x_min": 0.0, "x_max": 5.0, "n_points": 251,
-                            "n_pionts": 3},
-            },
-        )
+    @pytest.mark.parametrize("section, extra, key", [
+        pytest.param("density", {"n_pionts": 3}, "n_pionts", id="density-n_pionts"),
+        pytest.param("solver", {"damping": 0.5}, "damping", id="solver-damping"),
+        pytest.param("solver", {"continuation_start_im": 2.0},
+                     "continuation_start_im", id="solver-continuation_start_im"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, section, extra, key):
+        payload = {
+            "version": 1,
+            "model": MP_MODEL,
+            "density": {"x_min": 0.0, "x_max": 5.0, "n_points": 251},
+        }
+        payload.setdefault(section, {}).update(extra)
+        cfg = _write_config(tmp_path, payload)
         assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "n_pionts" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["density", "--config", str(tmp_path / "nope.json"),

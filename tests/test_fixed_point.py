@@ -268,7 +268,3 @@ class TestSolverOptions:
             SolverOptions(tol=0.0)
         with pytest.raises(ValidationError):
             SolverOptions(max_iter=0)
-        with pytest.raises(ValidationError):
-            SolverOptions(damping=1.5)
-        with pytest.raises(ValidationError):
-            SolverOptions(continuation_start_im=0.0)

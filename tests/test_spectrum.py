@@ -147,11 +147,6 @@ class TestSupportDetect:
         with pytest.raises(ValidationError):
             support_detect(grid)
 
-    def test_threshold_parameter(self, threeclass_grid):
-        # a threshold above the inter-hump dip splits the big component
-        intervals = support_detect(threeclass_grid, threshold=0.021)
-        assert len(intervals) == 3
-
 
 class TestAtomAtZero:
     def test_wide_model_no_atom(self):
