@@ -317,7 +317,7 @@ def cmd_equivalents(cfg, digest, out_dir, z_values, workers=1):
             functionals.append(
                 {
                     "sigma2": s2,
-                    "log_det": eqmod.log_det_functional(s2, params, opts),
+                    "log_det": eqmod.log_det_at(point, params),
                     "class_traces": [
                         eqmod.class_trace_functional(-s2, a, point, params)
                         for a in range(params.k)

@@ -241,13 +241,20 @@ def log_det_functional(sigma2: float, params: ModelParams,
 
     with M = I + sum_a c_a g_a C_a. Its sigma^2-derivative is tr Qtbar at
     -sigma^2. The value is certified by the fixed-point residual of the
-    one real-axis solve; log det M comes from a Cholesky factor, which
-    also checks that M is positive definite (c0 g_a > 0 on the negative
-    axis).
+    one real-axis solve.
     """
     if not sigma2 > 0:
         raise ValidationError(f"sigma2 must be positive, got {sigma2}")
     point = solve_g(complex(-sigma2, 0.0), params, opts or DEFAULT_OPTIONS)
+    return log_det_at(point, params)
+
+
+def log_det_at(point: ResolventPoint, params: ModelParams) -> float:
+    """log_det_functional at sigma^2 = -z from a point solved at real z < 0;
+    the Cholesky factor of M checks c0 g_a > 0 there."""
+    sigma2 = -point.z.real
+    if point.z.imag != 0.0 or not sigma2 > 0:
+        raise ValidationError(f"point was solved at {point.z}, not at a real z < 0")
     try:
         chol = np.linalg.cholesky(mixture_matrix(point.g.real, params))
     except np.linalg.LinAlgError as exc:

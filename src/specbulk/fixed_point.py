@@ -13,16 +13,15 @@ equivalently the fixed point of the map
 The measure of interest has Stieltjes transform m(z) = c0 sum_a c_a g_a(z).
 Solving is done by Newton's method on Psi(g) - g with the exact k x k
 Jacobian, falling back to a damped Picard step when no Newton step
-decreases the residual. Points near the real axis are reached by
-continuation in the imaginary part; sweeps warm-start each point from a
+decreases the residual. Points near the real axis are reached by an
+adaptive ladder in Im z; ladder levels and sweep points start from a
 secant prediction through the two previous solutions. Real-axis values
-outside the support are obtained by descending the imaginary part to
-~1e-9 and polishing at exactly zero.
+outside the support descend Im z to ~1e-9 and are polished at zero.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +44,18 @@ _WARM_EVAL_CAP = 150
 # Step fraction of the first damped Picard fallback step; halved (down to
 # 1/64) whenever a fallback step raises the residual.
 _PICARD_DAMPING = 1.0
-# Points with |Im z| below this level are reached by halving the imaginary
-# part from it, warm-starting each level.
+# Points with |Im z| below this level are reached by a continuation ladder
+# that descends the imaginary part from it.
 _CONTINUATION_START_IM = 1.0
+# Ladder step control (Allgower & Georg, Numerical Continuation Methods,
+# 1990): the next level is eta / ratio; the ratio grows by _LADDER_GROWTH
+# after a level converged within _LADDER_QUICK evaluations. Levels above
+# _LADDER_RATIO get _LADDER_EVAL_CAP evaluations; one that stalls or leaves
+# the admissible half-plane is rejected and the ratio falls to its root.
+_LADDER_RATIO = 2.0
+_LADDER_GROWTH = 16.0
+_LADDER_QUICK = 3
+_LADDER_EVAL_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,7 @@ def _wrong_half_plane(candidate, z):
     return bool(np.any(sign * candidate.imag < -0.02 * scale))
 
 
-def _iterate(z, g0, params: ModelParams, opts: SolverOptions):
+def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
     """Newton corrector on Psi(g) - g from g0, at fixed z.
 
     Each step solves (I - J) s = Psi(g) - g with J the exact k x k
@@ -187,17 +195,17 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions):
     ||Psi(g) - g||_inf <= tol ||g||_inf regardless of how the step was
     produced.
 
-    Returns (g, residual, evaluations, traces t_a at g).
+    Returns (g, residual, evaluations <= min(opts.max_iter, cap), traces at g).
     """
     g = np.asarray(g0, dtype=complex)
     f, resid, t, minv = _psi_eval(g, z, params)
-    evals = 1
+    evals, max_iter = 1, min(opts.max_iter, cap or opts.max_iter)
     damping = _PICARD_DAMPING
     eye = np.eye(params.k)
     while not resid <= opts.tol:  # a NaN residual certifies nothing
-        if evals >= opts.max_iter:
+        if evals >= max_iter:
             raise NonConvergenceError(
-                f"no convergence at z={z} after {opts.max_iter} evaluations "
+                f"no convergence at z={z} after {max_iter} evaluations "
                 f"(last residual {resid:.3e})",
                 z=z,
                 residual=float(resid),
@@ -220,9 +228,9 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions):
                     g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
                     stepped = True
                     break
-                if evals >= opts.max_iter:
+                if evals >= max_iter:
                     break
-        if not stepped and evals < opts.max_iter:
+        if not stepped and evals < max_iter:
             candidate = g + damping * delta
             f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
             evals += 1
@@ -232,14 +240,18 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions):
     return g, resid, evals, t
 
 
+def _violates_signs(z, g):
+    """True when Im g_a or Im z g_a has the wrong sign beyond a 1e-10 slack."""
+    sign = 1.0 if z.imag > 0 else -1.0
+    slack = 1e-10 * (np.abs(g).max() + _NORM_FLOOR)
+    return bool(np.any(sign * g.imag < -slack)
+                or np.any(sign * (z * g).imag < -slack * abs(z)))
+
+
 def _check_admissible(z, g, params: ModelParams, tol):
     """Sign constraints on the admissible half-plane solution, with slack."""
-    sign = 1.0 if z.imag > 0 else -1.0
-    img = sign * g.imag
-    imzg = sign * (z * g).imag
-    scale = np.abs(g).max() + _NORM_FLOOR
-    slack = 1e-10 * scale
-    if np.any(img < -slack) or np.any(imzg < -slack * abs(z)):
+    img = (1.0 if z.imag > 0 else -1.0) * g.imag
+    if _violates_signs(z, g):
         raise ConsistencyError(
             f"solution at z={z} violates half-plane sign constraints "
             f"(min Im g = {img.min():.3e})"
@@ -274,55 +286,71 @@ def _finish(z, g, resid, evals, t, params: ModelParams) -> ResolventPoint:
     )
 
 
-def _continuation_levels(target_im):
-    """Imaginary parts from _CONTINUATION_START_IM down to target_im by halving."""
-    levels = []
-    eta = _CONTINUATION_START_IM
-    while eta > target_im * (1.0 + 1e-12):
-        levels.append(eta)
-        eta /= 2.0
-    levels.append(target_im)
-    return levels
+def _secant_guess(z, z1, g1, z0, g0):
+    """Secant predictor at z through (z0, g0) and (z1, g1), or g1 when it
+    leaves the admissible half-plane (next to an atom or hard edge at zero)."""
+    guess = g1 + (z - z1) / (z1 - z0) * (g1 - g0)
+    return g1 if _wrong_half_plane(guess, z) else guess
 
 
-def _capped(opts: SolverOptions) -> SolverOptions:
-    return replace(opts, max_iter=min(opts.max_iter, _WARM_EVAL_CAP))
+def _ladder(z, params, opts):
+    """Continuation in Im z from _CONTINUATION_START_IM down to Im z; the
+    evaluations of rejected levels count in the returned total."""
+    target = abs(z.imag)
+    z1 = complex(z.real, np.copysign(max(_CONTINUATION_START_IM, target), z.imag))
+    g1, resid, total, t = _iterate(z1, initial_guess(z1, params), params, opts)
+    z0 = g0 = None
+    ratio = _LADDER_RATIO
+    while abs(z1.imag) > target * (1.0 + 1e-12):
+        eta = abs(z1.imag) / ratio
+        eta = eta if eta > target * (1.0 + 1e-12) else target
+        z_next = complex(z.real, np.copysign(eta, z.imag))
+        guess = g1 if z0 is None else _secant_guess(z_next, z1, g1, z0, g0)
+        capped = ratio > _LADDER_RATIO
+        try:
+            g, resid_n, evals, t_n = _iterate(z_next, guess, params, opts,
+                                              _LADDER_EVAL_CAP if capped else None)
+        except NonConvergenceError as exc:
+            if not capped:
+                raise
+            g, evals = None, exc.iterations
+        total += evals
+        if g is None or capped and _violates_signs(z_next, g):
+            ratio = max(np.sqrt(ratio), _LADDER_RATIO)  # reject the level
+            continue
+        z0, g0, z1, g1, resid, t = z1, g1, z_next, g, resid_n, t_n
+        if evals <= _LADDER_QUICK:
+            ratio *= _LADDER_GROWTH
+    return g1, resid, total, t
 
 
 def _solve_complex(z, params, opts, warm_start=None):
+    spent = 0
     if warm_start is not None:
         try:
-            return _iterate(z, warm_start, params, _capped(opts))
-        except NonConvergenceError:
-            pass  # fall back to a fresh continuation ladder
-    if abs(z.imag) >= _CONTINUATION_START_IM:
-        return _iterate(z, initial_guess(z, params), params, opts)
-    sign = 1.0 if z.imag > 0 else -1.0
-    total = 0
-    g = None
-    for eta in _continuation_levels(abs(z.imag)):
-        z_level = complex(z.real, sign * eta)
-        g0 = initial_guess(z_level, params) if g is None else g
-        g, resid, evals, t = _iterate(z_level, g0, params, opts)
-        total += evals
-    return g, resid, total, t
+            return _iterate(z, warm_start, params, opts, _WARM_EVAL_CAP)
+        except NonConvergenceError as exc:
+            spent = exc.iterations  # fall back to a fresh continuation ladder
+    g, resid, total, t = _ladder(z, params, opts)
+    return g, resid, spent + total, t
 
 
 def _solve_real(z, params, opts, warm_start=None):
     """Real z outside the support: descend in Im z, then polish at eta = 0."""
     x = float(z.real)
+    spent = 0
     if warm_start is not None:
         try:
-            g, _, total, _ = _iterate(complex(x, 0.0), warm_start, params,
-                                      _capped(opts))
-        except NonConvergenceError:
-            warm_start = None
+            g, _, total, _ = _iterate(complex(x, 0.0), warm_start, params, opts,
+                                      _WARM_EVAL_CAP)
+        except NonConvergenceError as exc:
+            spent, warm_start = exc.iterations, None
     if warm_start is None:
         g, _, total, _ = _solve_complex(complex(x, _REAL_AXIS_ETA_FLOOR),
                                         params, opts)
         # final polish at exactly eta = 0
         g, _, evals, _ = _iterate(complex(x, 0.0), g, params, opts)
-        total += evals
+        total += spent + evals
     rel_imag = np.abs(g.imag).max() / (np.abs(g).max() + _NORM_FLOOR)
     if rel_imag > 1e-6:
         raise ConsistencyError(
@@ -344,11 +372,11 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
             warm_start=None) -> ResolventPoint:
     """Solve the coupled fixed-point system at one complex point.
 
-    Points with |Im z| < 1 are reached by continuation from Re z + i
-    unless a warm start is supplied, in which case direct iteration is
-    tried first. Real z must lie outside the support (and away from 0);
-    this is verified a posteriori via the residual and the vanishing
-    imaginary part.
+    Points with |Im z| < 1 are reached by the adaptive continuation ladder
+    from Re z + i unless a warm start is supplied, which is tried first;
+    iterations counts every Psi evaluation, failed attempts included. Real z
+    must lie outside the support (and away from 0); this is verified a
+    posteriori via the residual and the vanishing imaginary part.
     """
     opts = opts or DEFAULT_OPTIONS
     params = _require_validated(params)
@@ -406,12 +434,7 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     for i, zv in enumerate(zs):
         if i >= 2 and points[-1].z != points[-2].z:
             last, prev = points[-1], points[-2]
-            guess = last.g + (zv - last.z) / (last.z - prev.z) * (last.g - prev.g)
-            # next to a singularity of g at zero (an atom or a hard edge) the
-            # secant can leave the admissible half-plane; the last solution
-            # is the better start then
-            if not _wrong_half_plane(guess, zv):
-                warm = guess
+            warm = _secant_guess(zv, last.z, last.g, prev.z, prev.g)
         try:
             point = solve_g(zv, params, opts, warm_start=warm)
         except SpecbulkError as exc:

@@ -9,6 +9,7 @@ from specbulk.equivalents import (
     SecondOrderSet,
     class_trace_functional,
     first_order,
+    log_det_at,
     log_det_functional,
     omega_radius_bound,
     q_bar_trace,
@@ -431,5 +432,9 @@ class TestLogDet:
         assert abs(fd - trace) <= 1e-7 * abs(trace)
 
     def test_rejects_nonpositive_sigma2(self):
+        params = mp_params(1, 1, p=8)
         with pytest.raises(ValidationError):
-            log_det_functional(0.0, mp_params(1, 1, p=8))
+            log_det_functional(0.0, params)
+        # the closed form needs a point solved on the negative real axis
+        with pytest.raises(ValidationError):
+            log_det_at(solve_g(2j, params), params)

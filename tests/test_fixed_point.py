@@ -140,11 +140,18 @@ class TestSolveG:
         with pytest.raises(ValidationError):
             solve_g(0.0, mp_params(1, 1, p=4))
 
-    @pytest.mark.parametrize("z, extra", [(2 + 1j, 0), (-1.0, 1)])
-    def test_one_inversion_per_evaluation(self, monkeypatch, z, extra):
+    @pytest.mark.parametrize("z, warm_z, extra", [
+        (2 + 1j, None, 0),
+        (-1.0, None, 1),
+        # the capped warm attempt from across the gap fails and the point
+        # is redone through the ladder; both count
+        (0.9 + 1e-6j, 2 + 1e-6j, 0),
+    ], ids=["(2+1j)-0", "-1.0-1", "(0.9+1e-06j)-warm-0"])
+    def test_one_inversion_per_evaluation(self, monkeypatch, z, warm_z, extra):
         # g_tilde comes from the traces of the last evaluation; only the
         # real-axis projection takes one more set of traces
         params = threeclass_params(64)
+        warm = None if warm_z is None else solve_g(warm_z, params).g
         calls = []
         inner = fixed_point._trace_terms
 
@@ -153,8 +160,45 @@ class TestSolveG:
             return inner(*args)
 
         monkeypatch.setattr(fixed_point, "_trace_terms", counted)
-        point = solve_g(z, params)
+        point = solve_g(z, params, warm_start=warm)
         assert len(calls) == point.iterations + extra
+
+    # reference g of three-class p=64 from the fixed halving ladder
+    @pytest.mark.parametrize("z, g_ref", [
+        (-1.0, [0.06599996431337712, 0.013950993879113506, 0.007884205165979671]),
+        (100.0, [-0.0012628121018899419, -0.0013758525072083744,
+                 -0.0015117283063145923]),
+        (5 + 1e-3j, [-0.029252216401092386 + 0.0010245624846201065j,
+                     0.04517585094736611 + 0.04471040339542178j,
+                     0.01606602199596026 + 0.006477066639072986j]),
+        (2.68, [-0.06819101799325199, 0.02594945780459073, 0.011141258514295848]),
+    ])
+    def test_cold_solve_cost(self, z, g_ref):
+        # the halving ladder took 79, 71, 47 and 85 evaluations here
+        point = solve_g(z, threeclass_params(64))
+        g_ref = np.asarray(g_ref, dtype=complex)
+        assert np.abs(point.g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
+        assert point.iterations <= 35
+
+    @pytest.mark.parametrize("aggressive", [False, True])
+    @pytest.mark.parametrize("x", [-0.125, -0.01, 0.01, 0.125])
+    def test_ladder_backs_off_near_atom(self, monkeypatch, x, aggressive):
+        # atom of mass 1/2 at zero, continuous part from 0.17. The default
+        # step schedule never rejects a level here; counting every level as
+        # quick and growing the ratio by 1e6 makes capped levels stall and,
+        # at x = +-0.01, land on the wrong branch. The ladder must step back
+        # to the admissible root
+        if aggressive:
+            monkeypatch.setattr(fixed_point, "_LADDER_QUICK", 10)
+            monkeypatch.setattr(fixed_point, "_LADDER_GROWTH", 1e6)
+        params = mp_params(1, 2, p=16)
+        for eta in (0.0, 1e-9, 1e-6, 0.1):
+            z = complex(x, eta)
+            point = solve_g(z, params)
+            ref = mp_stieltjes(z, params.c0)
+            assert abs(point.m_mu - ref) <= 1e-10 * abs(ref)
+            if eta:
+                _check_admissible(point.z, point.g, params, 1e-12)
 
     def test_unvalidated_params_rejected(self):
         raw = ModelParams(p=4, class_sizes=(4,), covariances=(np.eye(4),))
