@@ -132,7 +132,7 @@ def _write_json(path, payload: dict, digest: str):
         fh.write("\n")
 
 
-def cmd_density(cfg, digest, out_dir, workers=1):
+def cmd_density(cfg, digest, out_dir):
     section = cfg.get("density")
     if section is None:
         raise ConfigError("density command needs a 'density' section")
@@ -156,7 +156,7 @@ def cmd_density(cfg, digest, out_dir, workers=1):
     return _EXIT_OK
 
 
-def cmd_solve(cfg, digest, out_dir, z_values, workers=1):
+def cmd_solve(cfg, digest, out_dir, z_values):
     if not z_values:
         section = cfg.get("solve")
         if section is None:
@@ -275,7 +275,7 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
     return _EXIT_OK
 
 
-def cmd_equivalents(cfg, digest, out_dir, z_values, workers=1):
+def cmd_equivalents(cfg, digest, out_dir, z_values):
     if z_values and len(z_values) == 2:
         z1, z2 = z_values
     else:
@@ -358,13 +358,13 @@ def main(argv=None) -> int:
         cfg, digest = load_config(args.config)
         z_values = [_parse_z(text) for text in args.z]
         if args.command == "density":
-            return cmd_density(cfg, digest, args.out, workers=workers)
+            return cmd_density(cfg, digest, args.out)
         if args.command == "solve":
-            return cmd_solve(cfg, digest, args.out, z_values, workers=workers)
+            return cmd_solve(cfg, digest, args.out, z_values)
         if args.command == "simulate":
             return cmd_simulate(cfg, digest, args.out, seed=args.seed,
                                 workers=workers)
-        return cmd_equivalents(cfg, digest, args.out, z_values, workers=workers)
+        return cmd_equivalents(cfg, digest, args.out, z_values)
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

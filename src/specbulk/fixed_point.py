@@ -248,7 +248,7 @@ def _violates_signs(z, g):
                 or np.any(sign * (z * g).imag < -slack * abs(z)))
 
 
-def _check_admissible(z, g, params: ModelParams, tol):
+def _check_admissible(z, g, params: ModelParams):
     """Sign constraints on the admissible half-plane solution, with slack."""
     img = (1.0 if z.imag > 0 else -1.0) * g.imag
     if _violates_signs(z, g):
@@ -394,7 +394,7 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
     else:
         g, resid, evals, t = _solve_complex(z, params, opts, warm_start)
         try:
-            _check_admissible(z, g, params, opts.tol)
+            _check_admissible(z, g, params)
         except ConsistencyError:
             if warm_start is None:
                 raise
@@ -402,7 +402,7 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
             # branch; redo the point through the continuation ladder
             g, resid, evals2, t = _solve_complex(z, params, opts, None)
             evals += evals2
-            _check_admissible(z, g, params, opts.tol)
+            _check_admissible(z, g, params)
     return _finish(z, g, resid, evals, t, params)
 
 

@@ -6,13 +6,13 @@ outside when the fixed-point system has a real solution there whose
 kernel Omega(x, x) has spectral radius below one (the real-axis
 characterisation of Silverstein & Choi, 1995). Each support edge is
 located from the outside, where 1 - rho(Omega(x, x)) vanishes like the
-square root of the distance to the edge.
+square root of the distance to the edge. The atom at zero is 1 - rank(W)/n,
+with the generic rank of W counted from the class covariances.
 """
 from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,8 +43,6 @@ _CERTIFY_EVALS = 12
 _EDGE_APPROACH = 0.1
 _EDGE_STEPS = 40
 _EDGE_XTOL = 1e-9
-# decreasing eta ladder for the atom's Aitken extrapolation
-_ATOM_ETAS = (1e-3, 1e-4, 1e-5)
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,8 @@ class DensityGrid:
     density holds the continuous part: when the measure carries an atom at
     zero, the atom's smoothing kernel atom * (eta/pi) / (x^2 + eta^2) is
     subtracted so that atom_at_zero + integral(density) is the total mass.
-    g holds the solved g_a(x + i eta), one row per grid point (None on a
-    hand-built grid); support detection starts its real-axis solves from it.
+    g holds the solved g_a(x + i eta), one row per grid point; support
+    detection starts its real-axis solves from it.
     """
 
     xs: np.ndarray
@@ -66,7 +64,7 @@ class DensityGrid:
     total_mass: float
     params: ModelParams
     opts: SolverOptions
-    g: np.ndarray | None = None
+    g: np.ndarray
 
 
 def density_at(x: float, eta: float, params: ModelParams,
@@ -78,39 +76,29 @@ def density_at(x: float, eta: float, params: ModelParams,
     return max(point.m_mu.imag / np.pi, 0.0)
 
 
-def atom_at_zero(params: ModelParams, opts: SolverOptions | None = None) -> float:
-    """Mass of the atom at zero.
+def atom_at_zero(params: ModelParams) -> float:
+    """Mass of the atom at zero, 1 - rank(W) / n.
 
-    With every class covariance nonsingular the rank argument is exact:
-    the n x n Gram matrix has exactly n - p zero eigenvalues when p < n,
-    so the atom is max(0, 1 - c0). Otherwise the atom is the eta -> 0
-    limit of Re(-i eta m(i eta)), estimated on a decreasing eta ladder
-    with geometric (Aitken) extrapolation.
+    With Gaussian columns, rank W is almost surely the generic rank of
+    [C_1^{1/2} Z_1, ..., C_k^{1/2} Z_k]. Rado's theorem for generic vectors
+    drawn from subspaces, an instance of matroid union (Edmonds, "Minimum
+    partition of a matroid into independent subsets", 1965), gives it as
+
+        min over S of sum_{a not in S} n_a + rank(sum_{a in S} C_a),
+
+    the minimum taken over all subsets S of the classes. The empty S gives
+    n; with every C_a nonsingular the full S gives p, so the atom is
+    max(0, 1 - c0).
     """
-    opts = opts or DEFAULT_OPTIONS
-    min_eig = min(np.linalg.eigvalsh(cov)[0] for cov in params.covariances)
-    if min_eig > 1e-10 * (1.0 + params.c_max):
-        # nonsingular classes: rank forces exactly n - p zeros when p < n
-        return max(0.0, 1.0 - params.c0)
-    vals = []
-    warm = None
-    for eta in _ATOM_ETAS:
-        point = solve_g(1j * eta, params, opts, warm_start=warm)
-        warm = point.g
-        vals.append(min(max((-1j * eta * point.m_mu).real, 0.0), 1.0))
-    a1, a2, a3 = vals
-    d1, d2 = a2 - a1, a3 - a2
-    if d1 * d2 <= 0 or abs(d2) >= abs(d1):
-        if abs(d2) > 1e-12:
-            warnings.warn(
-                "atom-at-zero extrapolation is non-monotone; returning the "
-                f"smallest-eta estimate {a3:.6f}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return float(np.clip(a3, 0.0, 1.0))
-    q = d2 / d1
-    return float(np.clip(a3 + d2 * q / (1.0 - q), 0.0, 1.0))
+    tol = 1e-10 * (1.0 + params.c_max)
+    best = params.n
+    for mask in range(1, 2**params.k):
+        inside = [a for a in range(params.k) if mask >> a & 1]
+        rank = np.linalg.matrix_rank(
+            sum(params.covariances[a] for a in inside), tol=tol, hermitian=True)
+        outside = params.n - sum(params.class_sizes[a] for a in inside)
+        best = min(best, outside + int(rank))
+    return 1.0 - best / params.n
 
 
 def _runs(mask) -> list[tuple[int, int]]:
@@ -258,20 +246,13 @@ def _refine_edge(near: _RealPoint, far: _RealPoint, params, tol) -> float:
 
 def _certified_support(grid: DensityGrid, xs, candidates):
     params, tol = grid.params, grid.opts.tol
-    starts = grid.g
-    if starts is None:
-        starts = np.zeros((xs.size, params.k), dtype=complex)
-        idx = np.flatnonzero(candidates & (xs > 0.0))
-        if idx.size:
-            points = solve_grid(xs[idx] + 1j * grid.eta, params, grid.opts)
-            starts[idx] = [pt.g for pt in points]
     certified = {}
     outside = np.zeros(xs.size, dtype=bool)
     for i in np.flatnonzero(candidates):
         if xs[i] <= 0.0:
             outside[i] = True
             continue
-        point = _certify(xs[i], np.real(starts[i]), params, tol)
+        point = _certify(xs[i], np.real(grid.g[i]), params, tol)
         if point is not None:
             certified[i] = point
             outside[i] = True
@@ -314,13 +295,12 @@ def density_grid(x_min: float, x_max: float, n_points: int, params: ModelParams,
     if n_points < 2:
         raise ValidationError(f"need at least 2 grid points, got {n_points}")
     opts = opts or DEFAULT_OPTIONS
-    _warn_if_dependent(params)
     xs = np.linspace(float(x_min), float(x_max), int(n_points))
     eta = max(1e-5, 0.1 * (xs[1] - xs[0]))
     points = solve_grid(xs + 1j * eta, params, opts)
     dens = np.array([max(pt.m_mu.imag / np.pi, 0.0) for pt in points])
     g = np.array([pt.g for pt in points])
-    atom = atom_at_zero(params, opts)
+    atom = atom_at_zero(params)
     if atom > 1e-12:
         dens = np.clip(dens - atom * (eta / np.pi) / (xs**2 + eta**2), 0.0, None)
     for arr in (xs, dens, g):
@@ -339,24 +319,6 @@ def density_grid(x_min: float, x_max: float, n_points: int, params: ModelParams,
     support = support_detect(grid)
     total = atom + float(np.trapezoid(dens, xs))
     return replace(grid, support=support, total_mass=total)
-
-
-def _warn_if_dependent(params: ModelParams):
-    """Report (not enforce) linear dependence of {C_1..C_k, I}."""
-    mats = list(params.covariances) + [np.eye(params.p)]
-    k1 = len(mats)
-    gram = np.empty((k1, k1))
-    for i in range(k1):
-        for j in range(i, k1):
-            gram[i, j] = gram[j, i] = float(np.sum(mats[i] * mats[j]))
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] < 1e-8 * max(eigs[-1], 1e-300):
-        warnings.warn(
-            "covariances plus identity are (near-)linearly dependent; the "
-            "density may be discontinuous",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def write_density_csv(grid: DensityGrid, path, header_comment: str | None = None):

@@ -5,9 +5,9 @@ complete. Every tolerance is asserted exactly as stated; criteria that the
 model family genuinely cannot meet fail here rather than being loosened.
 """
 import time
+import warnings
 
 import numpy as np
-import pytest
 
 from helpers import (
     THREECLASS_BASE,
@@ -323,7 +323,8 @@ def test_criterion_09_atom_at_zero():
             sample_w(params, trial_seed(SEED, t))
         ))
     atom = sb.atom_at_zero(params)
-    with pytest.warns(RuntimeWarning, match="linearly dependent"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         grid = density_grid(0.0, 6.5, 651, mp_params(1, 2, p=16),
                             sb.SolverOptions(tol=1e-10))
     mass = grid.total_mass

@@ -198,7 +198,7 @@ class TestSolveG:
             ref = mp_stieltjes(z, params.c0)
             assert abs(point.m_mu - ref) <= 1e-10 * abs(ref)
             if eta:
-                _check_admissible(point.z, point.g, params, 1e-12)
+                _check_admissible(point.z, point.g, params)
 
     def test_unvalidated_params_rejected(self):
         raw = ModelParams(p=4, class_sizes=(4,), covariances=(np.eye(4),))
@@ -261,7 +261,7 @@ class TestSolveGrid:
         for x, pt in zip(xs, pts):
             cold = solve_g(x + 1e-3j, params)
             assert np.abs(pt.g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
-            _check_admissible(pt.z, pt.g, params, 1e-12)
+            _check_admissible(pt.z, pt.g, params)
 
     def test_predictor_kept_in_half_plane(self):
         # next to the hard edge at zero (c0 = 1, g ~ z^{-1/2}) the secant

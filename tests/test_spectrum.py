@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ OPTS = SolverOptions(tol=1e-10)
 
 def _mp_grid(c0_num, c0_den, x_min, x_max, n_points):
     params = mp_params(c0_num, c0_den, p=16)
-    with pytest.warns(RuntimeWarning, match="linearly dependent"):
-        # C_1 = I duplicates the identity in {C_a, I}: reported, not enforced
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         return density_grid(x_min, x_max, n_points, params, OPTS)
 
 
@@ -135,6 +136,7 @@ class TestSupportDetect:
             total_mass=0.0,
             params=params,
             opts=OPTS,
+            g=np.zeros((11, params.k), dtype=complex),
         )
         assert support_detect(grid) == ()
 
@@ -143,6 +145,7 @@ class TestSupportDetect:
         grid = DensityGrid(
             xs=np.array([]), density=np.array([]), eta=1e-3, support=(),
             atom_at_zero=0.0, total_mass=0.0, params=params, opts=OPTS,
+            g=np.zeros((0, params.k), dtype=complex),
         )
         with pytest.raises(ValidationError):
             support_detect(grid)
@@ -180,6 +183,22 @@ class TestAtomAtZero:
         for t in range(3):
             sample = sample_w(params, trial_seed(52, t))
             assert zero_eigenvalue_count(sample) == 0
+
+    @pytest.mark.parametrize("covs, sizes, rank", [
+        # rank-30 projectors sharing 10 directions: rank W = 50 of n = 80
+        ((np.r_[np.ones(30), np.zeros(34)], np.r_[np.zeros(20), np.ones(30),
+                                                  np.zeros(14)]), (40, 40), 50),
+        # the projector class alone bounds the rank: 16 + 8 of n = 56
+        ((np.r_[np.ones(16), np.zeros(48)], np.ones(64)), (48, 8), 24),
+    ], ids=["overlap", "proper_subset"])
+    def test_singular_rank_count(self, covs, sizes, rank):
+        params = validate_model(ModelParams(
+            p=64, class_sizes=sizes, covariances=tuple(np.diag(d) for d in covs)
+        ))
+        assert atom_at_zero(params) == 1.0 - rank / params.n
+        for t in range(3):
+            sample = sample_w(params, trial_seed(53, t))
+            assert zero_eigenvalue_count(sample) == params.n - rank
 
 
 class TestExports:
