@@ -15,8 +15,12 @@ Solving is done by Newton's method on Psi(g) - g with the exact k x k
 Jacobian, falling back to a damped Picard step when no Newton step
 decreases the residual. Points near the real axis are reached by an
 adaptive ladder in Im z; ladder levels and sweep points start from a
-secant prediction through the two previous solutions. Real-axis values
-outside the support descend Im z to ~1e-9 and are polished at zero.
+secant prediction through the two previous solutions. A real point x is
+solved by Newton's method in real arithmetic, and accepted as lying
+outside the support when the kernel Omega(x, x) at the real fixed point
+has spectral radius below one (the real-axis characterisation of
+Silverstein & Choi, 1995). Only when that attempt fails does the solve
+descend Im z to ~1e-9 and polish at zero.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .model import ModelParams
+from .nonneg import spectral_radius
 
 # Residual denominators are guarded by this floor to avoid 0/0.
 _NORM_FLOOR = 1e-30
@@ -41,6 +46,9 @@ _REAL_AXIS_ETA_FLOOR = 1e-9
 # Evaluation budget for a warm-start attempt before falling back to the
 # continuation ladder (a warm start from across a support edge can stall).
 _WARM_EVAL_CAP = 150
+# Psi evaluations allowed for one real-axis Newton attempt; outside the
+# support a warm or asymptotic start needs a handful
+_CERTIFY_EVALS = 12
 # Step fraction of the first damped Picard fallback step; halved (down to
 # 1/64) whenever a fallback step raises the residual.
 _PICARD_DAMPING = 1.0
@@ -105,8 +113,10 @@ def _trace_terms(g, z, params: ModelParams):
     """Traces t_a = (1/p) tr C_a M^{-1} plus M^{-1} for M = I + sum c_b g_b C_b.
 
     The one place where M is inverted; every other consumer of M^{-1}
-    (the Psi map, its Jacobian, g', Qtbar, the Monte Carlo reports) goes
-    through here.
+    (the Psi map, its Jacobian, g', Qtbar, the equivalents) goes through
+    here. With C_a symmetric, t_a is the dot of C_a.ravel() with M^{-1}
+    raveled; a complex M^{-1} enters as its real view of (re, im) pairs,
+    so each t_a is one real BLAS mat-vec. Real g gives real traces.
     """
     m = mixture_matrix(g, params)
     try:
@@ -115,9 +125,12 @@ def _trace_terms(g, z, params: ModelParams):
         raise NumericalSingularityError(
             f"singular mixture matrix I + sum c_b g_b C_b at z={z}", z=z
         ) from exc
-    t = np.array(
-        [np.einsum("ij,ji->", params.covariances[a], minv) for a in range(params.k)]
-    ) / params.p
+    flat = minv.reshape(-1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(float).reshape(-1, 2)
+    t = np.array([cov.reshape(-1) @ flat for cov in params.covariances]) / params.p
+    if t.ndim == 2:
+        t = t.view(complex)[:, 0]  # the (re, im) rows back as complex
     return t, minv
 
 
@@ -142,15 +155,23 @@ def _psi_jacobian(t, minv, z, params: ModelParams):
     return (params.c[None, :] / params.c0) * pair / u2[:, None]
 
 
+def _cov_times(cov, mat):
+    """C_a @ mat; a complex mat is multiplied as its (p, 2p) real view, so
+    the product is one real GEMM instead of a complex one on an upcast C_a."""
+    if np.iscomplexobj(mat):
+        return (cov @ np.ascontiguousarray(mat).view(float)).view(complex)
+    return cov @ mat
+
+
 def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
     """T_ab = (1/p) tr C_a L C_b R for all class pairs.
 
     When R is L the matrix is symmetric (cyclic trace with symmetric C_a)
-    and only its upper triangle is computed.
+    and only its upper triangle is computed. Real L and R give a real T.
     """
     k = params.k
-    x = [cov @ left for cov in params.covariances]
-    y = x if right is left else [cov @ right for cov in params.covariances]
+    x = [_cov_times(cov, left) for cov in params.covariances]
+    y = x if right is left else [_cov_times(cov, right) for cov in params.covariances]
     pair = np.empty((k, k), dtype=np.result_type(left, right))
     for a in range(k):
         for b in range(a if y is x else 0, k):
@@ -238,6 +259,49 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
                 damping = max(damping / 2.0, 1.0 / 64.0)
             g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
     return g, resid, evals, t
+
+
+def _real_newton(x, g0, params: ModelParams, tol, cap=_CERTIFY_EVALS):
+    """Newton on Psi(g) = g in real arithmetic at real x, from g0.
+
+    Each step solves (I - J) s = Psi(g) - g and tries the fractions 1 and
+    1/2 of s. The point is certified to lie outside the support when the
+    relative residual reaches tol within cap evaluations and the kernel
+    Omega(x, x), which is the Jacobian of Psi at the fixed point, has
+    spectral radius below one (Silverstein & Choi, 1995).
+
+    Returns (g, residual, evaluations, traces at g, Omega, rho(Omega));
+    g is None when x is not certified, and evaluations then counts the
+    attempt.
+    """
+    g = np.asarray(g0, dtype=float)
+    evals = 1
+    try:
+        with np.errstate(all="ignore"):
+            f, resid, t, minv = _psi_eval(g, x, params)
+            while not resid <= tol:
+                if evals >= cap or not np.isfinite(resid):
+                    break
+                jac = _psi_jacobian(t, minv, x, params)
+                step = np.linalg.solve(np.eye(params.k) - jac, f - g)
+                for frac in (1.0, 0.5):
+                    cand = g + frac * step
+                    evals += 1
+                    f_c, resid_c, t_c, minv_c = _psi_eval(cand, x, params)
+                    if resid_c < resid:
+                        g, f, resid, t, minv = cand, f_c, resid_c, t_c, minv_c
+                        break
+                else:
+                    break  # neither fraction decreased the residual
+            if resid <= tol:
+                omega = _psi_jacobian(t, minv, x, params)
+                if np.isfinite(omega).all():
+                    rho = spectral_radius(omega)
+                    if rho < 1.0:
+                        return g, resid, evals, t, omega, rho
+    except (NumericalSingularityError, np.linalg.LinAlgError):
+        pass
+    return None, float("nan"), evals, None, None, float("nan")
 
 
 def _violates_signs(z, g):
@@ -336,36 +400,33 @@ def _solve_complex(z, params, opts, warm_start=None):
 
 
 def _solve_real(z, params, opts, warm_start=None):
-    """Real z outside the support: descend in Im z, then polish at eta = 0."""
+    """Real z outside the support: one certified real-axis Newton attempt
+    from the real part of the warm start, or from the asymptote; when it
+    fails, descend in Im z and polish at eta = 0."""
     x = float(z.real)
-    spent = 0
-    if warm_start is not None:
-        try:
-            g, _, total, _ = _iterate(complex(x, 0.0), warm_start, params, opts,
-                                      _WARM_EVAL_CAP)
-        except NonConvergenceError as exc:
-            spent, warm_start = exc.iterations, None
-    if warm_start is None:
-        g, _, total, _ = _solve_complex(complex(x, _REAL_AXIS_ETA_FLOOR),
-                                        params, opts)
+    g0 = initial_guess(x, params).real if warm_start is None else warm_start.real
+    g, resid, total, t, _, _ = _real_newton(
+        x, g0, params, opts.tol, min(_CERTIFY_EVALS, opts.max_iter))
+    if g is None:
+        g, _, evals, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts)
+        total += evals
         # final polish at exactly eta = 0
         g, _, evals, _ = _iterate(complex(x, 0.0), g, params, opts)
-        total += spent + evals
-    rel_imag = np.abs(g.imag).max() / (np.abs(g).max() + _NORM_FLOOR)
-    if rel_imag > 1e-6:
-        raise ConsistencyError(
-            f"real-axis solve at z={x} kept imaginary mass {rel_imag:.3e}; "
-            "the point is inside or too close to the support"
-        )
-    g = g.real.astype(complex)
-    t, _ = _trace_terms(g, complex(x, 0.0), params)
-    f = -1.0 / (params.c0 * (x - t))
-    resid = np.abs(f - g).max() / (np.abs(g).max() + _NORM_FLOOR)
-    if x < 0 and np.any(params.c0 * g.real <= 0):
+        total += evals
+        rel_imag = np.abs(g.imag).max() / (np.abs(g).max() + _NORM_FLOOR)
+        if rel_imag > 1e-6:
+            raise ConsistencyError(
+                f"real-axis solve at z={x} kept imaginary mass {rel_imag:.3e}; "
+                "the point is inside or too close to the support"
+            )
+        g = g.real
+        _, resid, t, _ = _psi_eval(g, x, params)  # residual of the projection
+        total += 1
+    if x < 0 and np.any(params.c0 * g <= 0):
         raise ConsistencyError(
             f"real-axis solve at z={x} lost positivity of c0 g_a"
         )
-    return g, resid, total, t
+    return g.astype(complex), resid, total, t
 
 
 def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
@@ -375,8 +436,12 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
     Points with |Im z| < 1 are reached by the adaptive continuation ladder
     from Re z + i unless a warm start is supplied, which is tried first;
     iterations counts every Psi evaluation, failed attempts included. Real z
-    must lie outside the support (and away from 0); this is verified a
-    posteriori via the residual and the vanishing imaginary part.
+    must lie outside the support (and away from 0). It is solved by Newton's
+    method in real arithmetic, from the real part of the warm start or from
+    the asymptote -1/(c0 z), and certified by rho(Omega(z, z)) < 1. When
+    that attempt fails, the point is reached by the ladder down to
+    Im z = 1e-9 and polished at Im z = 0, and the imaginary part left must
+    vanish.
     """
     opts = opts or DEFAULT_OPTIONS
     params = _require_validated(params)

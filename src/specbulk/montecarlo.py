@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalSingularityError, ValidationError
-from .fixed_point import _trace_terms, solve_g
+from .fixed_point import solve_g
 from .model import ModelParams, ModelSpec
 from .spectrum import DensityGrid
 
@@ -272,8 +272,9 @@ def convergence_report(params: ModelParams, z, trials: int, probes=None,
     point = solve_g(z, params)
     n, p, k = params.n, params.p, params.k
     q_bar = params.c0 * point.g  # per-class diagonal values
-    _, minv = _trace_terms(point.g, z, params)
-    qtbar_trace = complex(np.trace(-minv / z))
+    # W^T W and W W^T share their nonzero eigenvalues, so
+    # tr Qtbar = tr Qbar + (n - p)/z with tr Qbar = n m(z)
+    qtbar_trace = n * point.m_mu + (n - p) / z
 
     slices = params.class_slices()
     if probes is None:

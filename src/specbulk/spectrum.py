@@ -22,20 +22,15 @@ from .fixed_point import (
     DEFAULT_OPTIONS,
     SolverOptions,
     _g_prime,
-    _psi_eval,
-    _psi_jacobian,
+    _real_newton,
     solve_g,
     solve_grid,
 )
 from .model import ModelParams
-from .nonneg import spectral_radius
 
 # grid values below this fraction of the peak are candidates for lying
 # outside the support
 _SUSPECT_FRACTION = 0.05
-# Psi evaluations allowed for one real-axis certificate; a warm-started
-# Newton solve outside the support needs a handful
-_CERTIFY_EVALS = 12
 # edge refinement: each step moves to within this fraction of the remaining
 # distance to the extrapolated edge, until that distance (or the bracket
 # left by a failed certificate) is below _EDGE_XTOL (1 + |edge|) or
@@ -154,38 +149,17 @@ class _RealPoint:
 def _certify(x, g0, params: ModelParams, tol) -> _RealPoint | None:
     """Newton on Psi(g) = g in real arithmetic at real x, from g0.
 
-    Returns the point when the iteration reaches the relative residual tol
-    within _CERTIFY_EVALS evaluations and the kernel Omega(x, x), which is
-    the Jacobian of Psi at the fixed point, has spectral radius below one;
-    otherwise None (x is not certified to lie outside the support).
+    Returns the point when `fixed_point._real_newton` reaches the relative
+    residual tol within its evaluation cap and the kernel Omega(x, x) has
+    spectral radius below one; otherwise None (x is not certified to lie
+    outside the support).
     """
-    g = np.asarray(g0, dtype=float)
+    g, _, _, _, omega, rho = _real_newton(x, g0, params, tol)
+    if g is None:
+        return None
     try:
-        with np.errstate(all="ignore"):
-            f, resid, t, minv = _psi_eval(g, x, params)
-            evals = 1
-            while not resid <= tol:
-                if evals >= _CERTIFY_EVALS or not np.isfinite(resid):
-                    return None
-                jac = _psi_jacobian(t, minv, x, params)
-                step = np.linalg.solve(np.eye(params.k) - jac, f - g)
-                for frac in (1.0, 0.5):
-                    cand = g + frac * step
-                    f_c, resid_c, t_c, minv_c = _psi_eval(cand, x, params)
-                    evals += 1
-                    if resid_c < resid:
-                        g, f, resid, t, minv = cand, f_c, resid_c, t_c, minv_c
-                        break
-                else:
-                    return None
-            omega = _psi_jacobian(t, minv, x, params)
-            if not np.isfinite(omega).all():
-                return None
-            rho = spectral_radius(omega)
-            if not rho < 1.0:
-                return None
-            g_prime = _g_prime(omega, g, x, params)
-    except (NumericalSingularityError, np.linalg.LinAlgError):
+        g_prime = _g_prime(omega, g, x, params)
+    except NumericalSingularityError:
         return None
     return _RealPoint(x=float(x), g=g, g_prime=g_prime, gap=1.0 - rho)
 

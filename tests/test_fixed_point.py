@@ -4,7 +4,7 @@ import pytest
 from helpers import mp_params, mp_stieltjes, threeclass_params
 
 from specbulk import fixed_point
-from specbulk.errors import ValidationError
+from specbulk.errors import ConsistencyError, ValidationError
 from specbulk.fixed_point import (
     SolverOptions,
     _check_admissible,
@@ -142,14 +142,14 @@ class TestSolveG:
 
     @pytest.mark.parametrize("z, warm_z, extra", [
         (2 + 1j, None, 0),
-        (-1.0, None, 1),
+        # certified by the real-axis Newton: no projection, no re-trace
+        (-1.0, None, 0),
         # the capped warm attempt from across the gap fails and the point
         # is redone through the ladder; both count
         (0.9 + 1e-6j, 2 + 1e-6j, 0),
-    ], ids=["(2+1j)-0", "-1.0-1", "(0.9+1e-06j)-warm-0"])
+    ], ids=["(2+1j)-0", "-1.0-0", "(0.9+1e-06j)-warm-0"])
     def test_one_inversion_per_evaluation(self, monkeypatch, z, warm_z, extra):
-        # g_tilde comes from the traces of the last evaluation; only the
-        # real-axis projection takes one more set of traces
+        # g_tilde comes from the traces of the last evaluation
         params = threeclass_params(64)
         warm = None if warm_z is None else solve_g(warm_z, params).g
         calls = []
@@ -174,11 +174,25 @@ class TestSolveG:
         (2.68, [-0.06819101799325199, 0.02594945780459073, 0.011141258514295848]),
     ])
     def test_cold_solve_cost(self, z, g_ref):
-        # the halving ladder took 79, 71, 47 and 85 evaluations here
+        # the halving ladder took 79, 71, 47 and 85 evaluations here; the
+        # real points -1 and 100 are certified by the real-axis Newton from
+        # the asymptote, 2.68 in the gap falls back to the ladder
         point = solve_g(z, threeclass_params(64))
         g_ref = np.asarray(g_ref, dtype=complex)
         assert np.abs(point.g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
         assert point.iterations <= 35
+        if z in (-1.0, 100.0):
+            assert point.iterations <= 12
+
+    @pytest.mark.parametrize("warm", [None, [-0.013475, -0.032456, 0.148502]],
+                             ids=["cold", "warm-real-root"])
+    def test_real_point_inside_support_rejected(self, warm):
+        # x = 10 lies in the upper component (4.2, 26.5). The warm start is
+        # next to a real fixed point there whose kernel has rho(Omega) ~ 6:
+        # the real-axis Newton converges to it and only the certificate
+        # rejects it. The ladder's polish then keeps imaginary mass
+        with pytest.raises(ConsistencyError, match="imaginary mass"):
+            solve_g(10.0, threeclass_params(64), warm_start=warm)
 
     @pytest.mark.parametrize("aggressive", [False, True])
     @pytest.mark.parametrize("x", [-0.125, -0.01, 0.01, 0.125])
@@ -312,3 +326,34 @@ class TestSolverOptions:
             SolverOptions(tol=0.0)
         with pytest.raises(ValidationError):
             SolverOptions(max_iter=0)
+
+
+class TestKernels:
+    # the real-BLAS kernels against their einsum definitions
+
+    @pytest.mark.parametrize("z", [2 + 0.5j, -1.0])
+    def test_trace_terms_match_einsum(self, z):
+        params = threeclass_params(64)
+        g = solve_g(z, params).g
+        g = g if z.imag else g.real
+        t, minv = fixed_point._trace_terms(g, z, params)
+        ref = np.array([np.einsum("ij,ji->", cov, minv)
+                        for cov in params.covariances]) / params.p
+        assert t.dtype == ref.dtype == (complex if z.imag else float)
+        assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["complex-distinct", "real-same"])
+    def test_pair_traces_match_einsum(self, kind):
+        params = threeclass_params(64)
+        rng = np.random.default_rng(3)
+        shape = (params.p, params.p)
+        if kind == "complex-distinct":
+            left = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            right = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        else:
+            left = right = rng.standard_normal(shape)
+        pair = fixed_point._pair_traces(left, right, params)
+        covs = np.array(params.covariances)
+        ref = np.einsum("aij,jk,bkl,li->ab", covs, left, covs, right) / params.p
+        assert pair.dtype == ref.dtype == (float if kind == "real-same" else complex)
+        assert np.abs(pair - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import mp_params, mp_spec, threeclass_params
 
+from specbulk.equivalents import first_order
 from specbulk.errors import NumericalSingularityError, ValidationError
 from specbulk.fixed_point import solve_g
 from specbulk.model import CovarianceSpec, ModelParams, ModelSpec, validate_model
@@ -160,6 +161,16 @@ class TestEmpiricalResolvents:
 
 
 class TestConvergenceReport:
+    @pytest.mark.parametrize("z", [5 + 0.5j, 2 + 1e-3j, -1.0, 15 - 2j])
+    def test_qtbar_trace_from_m(self, z):
+        # the report takes tr Qtbar as n m(z) + (n - p)/z: W^T W and W W^T
+        # share their nonzero eigenvalues, and the equivalents do too
+        params = threeclass_params(64)
+        point = solve_g(z, params)
+        dense = np.trace(first_order(point, params).q_tilde_bar)
+        shortcut = params.n * point.m_mu + (params.n - params.p) / z
+        assert abs(shortcut - dense) <= 1e-13 * abs(dense)
+
     def test_zero_probe_exact(self, two_class_small):
         n = two_class_small.n
         rep = convergence_report(
