@@ -21,6 +21,15 @@ outside the support when the kernel Omega(x, x) at the real fixed point
 has spectral radius below one (the real-axis characterisation of
 Silverstein & Choi, 1995). Only when that attempt fails does the solve
 descend Im z to ~1e-9 and polish at zero.
+
+Every evaluation goes through one kernel, `_trace_terms`, which inverts M.
+When the class covariances commute, `validate_model` stores their joint
+spectra lambda_a(i): M is then diagonal in the joint eigenbasis, with
+eigenvalues d = 1 + sum_b c_b g_b lambda_b, and each trace is the O(kp)
+sum (1/p) sum_i lambda_a(i) / d(i), the classical Marchenko-Pastur /
+Silverstein-Bai form of the same equations. M^{-1} then travels as the
+1-D array 1/d, and `_pair_traces` takes 1-D operands as diagonals in the
+same basis. Non-commuting models use dense p x p matrices throughout.
 """
 from __future__ import annotations
 
@@ -109,15 +118,34 @@ def mixture_matrix(g, params: ModelParams) -> np.ndarray:
     return m
 
 
+def _mixture_eigenvalues(g, params: ModelParams) -> np.ndarray:
+    """Eigenvalues d = 1 + sum_b c_b g_b lambda_b of M in the joint
+    eigenbasis of a model with joint spectra (real for real g)."""
+    return 1.0 + (params.c * g) @ params.spectra
+
+
 def _trace_terms(g, z, params: ModelParams):
     """Traces t_a = (1/p) tr C_a M^{-1} plus M^{-1} for M = I + sum c_b g_b C_b.
 
     The one place where M is inverted; every other consumer of M^{-1}
     (the Psi map, its Jacobian, g', Qtbar, the equivalents) goes through
-    here. With C_a symmetric, t_a is the dot of C_a.ravel() with M^{-1}
-    raveled; a complex M^{-1} enters as its real view of (re, im) pairs,
-    so each t_a is one real BLAS mat-vec. Real g gives real traces.
+    here. Real g gives real traces.
+
+    On a model with joint spectra (commuting covariances) M^{-1} is the
+    1-D array 1/d of its eigenvalues in the joint eigenbasis and t_a is
+    the sum lambda_a . (1/d) / p. Otherwise M^{-1} is the dense inverse;
+    with C_a symmetric, t_a is the dot of C_a.ravel() with M^{-1} raveled,
+    and a complex M^{-1} enters as its real view of (re, im) pairs, so
+    each t_a is one real BLAS mat-vec.
     """
+    if params.spectra is not None:
+        d = _mixture_eigenvalues(g, params)
+        if not d.all():
+            raise NumericalSingularityError(
+                f"singular mixture matrix I + sum c_b g_b C_b at z={z}", z=z
+            )
+        minv = 1.0 / d
+        return params.spectra @ minv / params.p, minv
     m = mixture_matrix(g, params)
     try:
         minv = np.linalg.inv(m)
@@ -166,9 +194,15 @@ def _cov_times(cov, mat):
 def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
     """T_ab = (1/p) tr C_a L C_b R for all class pairs.
 
-    When R is L the matrix is symmetric (cyclic trace with symmetric C_a)
+    1-D operands are the diagonals of L and R in the joint eigenbasis of a
+    model with joint spectra lambda (as `_trace_terms` returns M^{-1}), and
+    T = (lambda * l * r) lambda^T / p. Dense operands serve every model;
+    when R is L the matrix is symmetric (cyclic trace with symmetric C_a)
     and only its upper triangle is computed. Real L and R give a real T.
     """
+    if np.ndim(left) == 1:
+        lam = params.spectra
+        return (lam * (left * right)) @ lam.T / params.p
     k = params.k
     x = [_cov_times(cov, left) for cov in params.covariances]
     y = x if right is left else [_cov_times(cov, right) for cov in params.covariances]
@@ -516,11 +550,20 @@ def g_derivative(point: ResolventPoint, params: ModelParams) -> np.ndarray:
 
     At the fixed point the Jacobian of Psi is the kernel Omega(z, z):
     c0 c_b g_a^2 (1/p) tr C_a M^{-1} C_b M^{-1} with M = I + sum c_b g_b C_b.
+    At a real z it is taken in real arithmetic; g' is returned complex.
     """
     params = _require_validated(params)
-    g = np.asarray(point.g, dtype=complex)
-    t, minv = _trace_terms(g, point.z, params)
-    return _g_prime(_psi_jacobian(t, minv, point.z, params), g, point.z, params)
+    g, z = _kernel_point(point)
+    t, minv = _trace_terms(g, z, params)
+    return _g_prime(_psi_jacobian(t, minv, z, params), g, z, params).astype(complex)
+
+
+def _kernel_point(point: ResolventPoint):
+    """(g, z) of a solved point as the kernels take them: real at a real z,
+    where the fixed point is real and M needs no complex arithmetic."""
+    if point.z.imag == 0.0:
+        return point.g.real, point.z.real
+    return point.g, point.z
 
 
 def _g_prime(omega, g, z, params: ModelParams) -> np.ndarray:

@@ -6,7 +6,7 @@ ratios c0 = p/n and c_a = n_a/n drive everything downstream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -15,6 +15,11 @@ from .errors import ValidationError
 # Numerical tolerances for accepting covariance input.
 PSD_TOL = 1e-10
 SYM_TOL = 1e-12
+# Relative size, against C_max^2 (probe) or C_max (rotated covariances),
+# below which commutators and off-diagonal entries count as zero. The
+# traces taken in the joint eigenbasis err only to second order in the
+# off-diagonal part left out.
+COMMUTE_TOL = 1e-9
 
 _COV_KINDS = ("identity", "scaled_identity", "toeplitz", "diagonal", "dense")
 
@@ -120,6 +125,11 @@ class ModelParams:
     Construct with raw fields, then pass through validate_model, which
     certifies PSD-ness, symmetrizes, fills c_max and freezes the arrays.
     Instances are immutable after validation and safe to share.
+
+    When the covariances commute, validation also fills spectra, the k x p
+    joint eigenvalues (row a holds the eigenvalues of C_a), and basis, the
+    orthogonal p x p matrix U with U^T C_a U = diag(spectra[a]); basis
+    stays None when every C_a is diagonal. Both stay None otherwise.
     """
 
     p: int
@@ -127,6 +137,8 @@ class ModelParams:
     covariances: tuple[np.ndarray, ...]
     c_max: float = 0.0
     validated: bool = False
+    spectra: np.ndarray | None = field(default=None, repr=False)
+    basis: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def k(self) -> int:
@@ -203,6 +215,10 @@ def validate_model(params: ModelParams) -> ModelParams:
         mat.setflags(write=False)
         covs.append(mat)
 
+    spectra, basis = _joint_spectra(covs, c_max)
+    for arr in (spectra, basis):
+        if arr is not None:
+            arr.setflags(write=False)
     return replace(
         params,
         p=p,
@@ -210,7 +226,40 @@ def validate_model(params: ModelParams) -> ModelParams:
         covariances=tuple(covs),
         c_max=c_max,
         validated=True,
+        spectra=spectra,
+        basis=basis,
     )
+
+
+def _joint_spectra(covs, c_max: float):
+    """(spectra, basis) of commuting symmetric covariances, or (None, None).
+
+    Diagonal covariances give their diagonals and no basis. Otherwise a
+    probe compares C_a C_b v with C_b C_a v for one fixed vector v, at the
+    cost of k^2 mat-vecs; only when every pair passes is U taken from eigh
+    of the generic combination sum_a sqrt(a + 1) C_a, and kept when each
+    U^T C_a U is diagonal to COMMUTE_TOL C_max. With k = 1 the eigh of C_1
+    is the decomposition itself.
+    """
+    if all(np.count_nonzero(c) == np.count_nonzero(np.diag(c)) for c in covs):
+        return np.array([np.diag(c) for c in covs]), None
+    if len(covs) == 1:
+        w, u = np.linalg.eigh(covs[0])
+        return w[None, :], u
+    v = 1.0 / np.arange(1.0, covs[0].shape[0] + 1.0)  # fixed, with no symmetry
+    cv = [c @ v for c in covs]
+    bound = COMMUTE_TOL * c_max**2 * np.linalg.norm(v)
+    for a in range(len(covs)):
+        for b in range(a + 1, len(covs)):
+            if np.linalg.norm(covs[a] @ cv[b] - covs[b] @ cv[a]) > bound:
+                return None, None
+    _, u = np.linalg.eigh(sum(np.sqrt(a + 1.0) * c for a, c in enumerate(covs)))
+    rotated = [u.T @ c @ u for c in covs]
+    spectra = np.array([np.diag(r) for r in rotated])
+    off = max(np.abs(r - np.diag(np.diag(r))).max() for r in rotated)
+    if off > COMMUTE_TOL * c_max:
+        return None, None
+    return spectra, u
 
 
 @dataclass(frozen=True)

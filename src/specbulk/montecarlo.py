@@ -74,13 +74,23 @@ class McReport:
 
 
 def _sqrt_covs(params: ModelParams):
-    """Symmetric square roots of the class covariances, memoized per model."""
+    """Symmetric square roots of the class covariances, memoized per model.
+
+    A model with joint spectra takes U diag(sqrt lambda_a) U^T from its
+    stored basis, with no eigh; without a basis (diagonal covariances) a
+    root is the 1-D array sqrt(lambda_a), which sample_w applies as a row
+    scaling.
+    """
     cache = getattr(params, "_sqrt_covs_cache", None)
     if cache is None:
+        if params.spectra is None:
+            pairs = [np.linalg.eigh(cov) for cov in params.covariances]
+        else:
+            pairs = [(lam, params.basis) for lam in params.spectra]
         roots = []
-        for cov in params.covariances:
-            w, v = np.linalg.eigh(cov)
-            roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+        for w, v in pairs:
+            root = np.sqrt(np.clip(w, 0.0, None))
+            roots.append(root if v is None else (v * root) @ v.T)
         cache = tuple(roots)
         object.__setattr__(params, "_sqrt_covs_cache", cache)
     return cache
@@ -108,7 +118,7 @@ def sample_w(params: ModelParams, seed: int) -> EnsembleSample:
         z[:, j] = gen.standard_normal(p)
     blocks = []
     for root, sl in zip(roots, params.class_slices()):
-        blocks.append(root @ z[:, sl])
+        blocks.append(root[:, None] * z[:, sl] if root.ndim == 1 else root @ z[:, sl])
     w = np.concatenate(blocks, axis=1) / np.sqrt(p)
     eigs = np.linalg.eigvalsh(w.T @ w)
     eigs = np.clip(eigs, 0.0, None)
@@ -245,16 +255,27 @@ class SampleSpectral:
 def _pooled_eigenvalues(params, trials, seed, workers=1):
     seeds = [trial_seed(seed, t) for t in range(trials)]
     if workers > 1:
+        _sqrt_covs(params)  # built once here; forked workers inherit it
         chunks = np.array_split(np.asarray(seeds, dtype=np.uint64), workers * 2)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_eig_chunk, [(params, c.tolist()) for c in chunks]))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_params,
+                                 initargs=(params,)) as ex:
+            parts = list(ex.map(_eig_chunk, [c.tolist() for c in chunks]))
         return [e for part in parts for e in part]
     return [sample_w(params, s).eigenvalues_wtw for s in seeds]
 
 
-def _eig_chunk(args):
-    params, seeds = args
-    return [sample_w(params, s).eigenvalues_wtw for s in seeds]
+# The model of a pool worker process, set once by the pool's initializer so
+# that chunks carry only their seeds.
+_worker_params = None
+
+
+def _set_worker_params(params):
+    global _worker_params
+    _worker_params = params
+
+
+def _eig_chunk(seeds):
+    return [sample_w(_worker_params, s).eigenvalues_wtw for s in seeds]
 
 
 def convergence_report(params: ModelParams, z, trials: int, probes=None,

@@ -1,4 +1,6 @@
 """Shared oracles and model builders for the test suite."""
+import dataclasses
+
 import numpy as np
 import scipy.integrate
 
@@ -36,6 +38,12 @@ def mp_params(c0_num, c0_den, p=16):
     return validate_model(
         ModelParams(p=p, class_sizes=(n,), covariances=(np.eye(p),))
     )
+
+
+def dense_reference(params):
+    """The same validated model with its joint spectra and basis cleared, so
+    that every kernel takes the dense p x p path."""
+    return dataclasses.replace(params, spectra=None, basis=None)
 
 
 def mp_spec(p_base, n_base):

@@ -140,17 +140,23 @@ class TestSolveG:
         with pytest.raises(ValidationError):
             solve_g(0.0, mp_params(1, 1, p=4))
 
-    @pytest.mark.parametrize("z, warm_z, extra", [
-        (2 + 1j, None, 0),
+    @pytest.mark.parametrize("model, z, warm_z, extra", [
+        ("threeclass", 2 + 1j, None, 0),
         # certified by the real-axis Newton: no projection, no re-trace
-        (-1.0, None, 0),
+        ("threeclass", -1.0, None, 0),
         # the capped warm attempt from across the gap fails and the point
         # is redone through the ladder; both count
-        (0.9 + 1e-6j, 2 + 1e-6j, 0),
-    ], ids=["(2+1j)-0", "-1.0-0", "(0.9+1e-06j)-warm-0"])
-    def test_one_inversion_per_evaluation(self, monkeypatch, z, warm_z, extra):
+        ("threeclass", 0.9 + 1e-6j, 2 + 1e-6j, 0),
+        # the commuting fast path: the ladder next to the axis, the real
+        # Newton at -1 and a warm start from across the bulk
+        ("mp", 1.5 + 1e-6j, None, 0),
+        ("mp", -1.0, None, 0),
+        ("mp", 1.0 + 1e-3j, 5.0 + 1e-3j, 0),
+    ], ids=["(2+1j)-0", "-1.0-0", "(0.9+1e-06j)-warm-0",
+            "mp-(1.5+1e-06j)-0", "mp--1.0-0", "mp-(1+0.001j)-warm-0"])
+    def test_one_inversion_per_evaluation(self, monkeypatch, model, z, warm_z, extra):
         # g_tilde comes from the traces of the last evaluation
-        params = threeclass_params(64)
+        params = threeclass_params(64) if model == "threeclass" else mp_params(1, 2, p=16)
         warm = None if warm_z is None else solve_g(warm_z, params).g
         calls = []
         inner = fixed_point._trace_terms
@@ -329,7 +335,8 @@ class TestSolverOptions:
 
 
 class TestKernels:
-    # the real-BLAS kernels against their einsum definitions
+    # the real-BLAS kernels and the joint-eigenbasis kernels against their
+    # einsum definitions
 
     @pytest.mark.parametrize("z", [2 + 0.5j, -1.0])
     def test_trace_terms_match_einsum(self, z):
@@ -357,3 +364,55 @@ class TestKernels:
         ref = np.einsum("aij,jk,bkl,li->ab", covs, left, covs, right) / params.p
         assert pair.dtype == ref.dtype == (float if kind == "real-same" else complex)
         assert np.abs(pair - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("z", [2 + 0.5j, -1.0])
+    @pytest.mark.parametrize("commuting", ["diagonal", "basis"])
+    def test_trace_terms_1d_match_einsum(self, z, commuting):
+        params = _commuting(commuting)
+        g = solve_g(z, params).g
+        g = g if z.imag else g.real
+        t, minv = fixed_point._trace_terms(g, z, params)
+        dense = np.linalg.inv(fixed_point.mixture_matrix(g, params))
+        ref = np.array([np.einsum("ij,ji->", cov, dense)
+                        for cov in params.covariances]) / params.p
+        assert minv.shape == (params.p,)
+        assert t.dtype == ref.dtype == (complex if z.imag else float)
+        assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(_expand(minv, params) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("kind", ["complex-distinct", "real-same"])
+    @pytest.mark.parametrize("commuting", ["diagonal", "basis"])
+    def test_pair_traces_1d_match_einsum(self, kind, commuting):
+        params = _commuting(commuting)
+        rng = np.random.default_rng(3)
+        if kind == "complex-distinct":
+            left = rng.standard_normal(params.p) + 1j * rng.standard_normal(params.p)
+            right = rng.standard_normal(params.p) + 1j * rng.standard_normal(params.p)
+        else:
+            left = right = rng.standard_normal(params.p)
+        pair = fixed_point._pair_traces(left, right, params)
+        covs = np.array(params.covariances)
+        ref = np.einsum("aij,jk,bkl,li->ab", covs, _expand(left, params), covs,
+                        _expand(right, params)) / params.p
+        assert pair.dtype == ref.dtype == (float if kind == "real-same" else complex)
+        assert np.abs(pair - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _commuting(kind):
+    """A diagonal two-class model (no basis), or C and C^2 for a Toeplitz C."""
+    if kind == "diagonal":
+        covs = (np.diag(np.repeat([0.5, 3.0], 16)), np.diag(np.linspace(1.0, 4.0, 32)))
+    else:
+        idx = np.arange(32)
+        cov = 0.3 ** np.abs(idx[:, None] - idx[None, :])
+        covs = (cov, cov @ cov)
+    params = validate_model(ModelParams(p=32, class_sizes=(16, 48), covariances=covs))
+    assert params.spectra is not None
+    assert (params.basis is None) == (kind == "diagonal")
+    return params
+
+
+def _expand(diag, params):
+    """The p x p matrix with eigenvalues diag in the model's joint eigenbasis."""
+    u = params.basis
+    return np.diag(diag) if u is None else (u * diag) @ u.T

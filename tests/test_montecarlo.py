@@ -39,6 +39,18 @@ class TestSampling:
         assert np.array_equal(s1.w, s2.w)
         assert np.array_equal(s1.eigenvalues_wtw, s2.eigenvalues_wtw)
 
+    def test_identity_draw_is_scaled_philox_normals(self):
+        # an identity covariance needs no root: W is Z / sqrt(p) bit for
+        # bit, with column j of Z drawn from the Philox stream keyed by
+        # (seed, j)
+        params = mp_params(1, 2, p=16)
+        seed = 2**63 + 5
+        z = np.empty((params.p, params.n))
+        for j in range(params.n):
+            key = np.array([seed, j], dtype=np.uint64)
+            z[:, j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(params.p)
+        assert np.array_equal(sample_w(params, seed).w, z / np.sqrt(params.p))
+
     def test_seeds_differ(self, two_class_small):
         assert not np.array_equal(
             sample_w(two_class_small, 1).w, sample_w(two_class_small, 2).w
