@@ -25,7 +25,8 @@ with M = I + sum_a c_a g_a C_a and gt_a = (1/p) tr C_a M^{-1} / sigma^2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +40,10 @@ from .fixed_point import (
     DEFAULT_OPTIONS,
     ResolventPoint,
     SolverOptions,
-    _kernel_point,
-    _mixture_eigenvalues,
+    _dense,
+    _log_det_mixture,
     _pair_traces,
-    _trace_terms,
-    mixture_matrix,
+    _q_tilde,
     solve_g,
 )
 from .model import ModelParams
@@ -56,16 +56,22 @@ class EquivalentSet:
 
     q_bar_diag holds the k per-class diagonal values c0 g_a(z) of the
     block-constant Qbar; the dense n x n form is never materialized.
-    q_tilde_bar is real at a real z. On a model with joint spectra,
-    q_tilde_eigs holds the eigenvalues -1/(z d) of Qtbar in the joint
-    eigenbasis, which the second-order kernel uses; otherwise it is None.
+    q_tilde holds Qtbar in the form the fixed-point kernels take (a
+    diagonal in the joint eigenbasis when the covariances commute), and
+    q_tilde_bar is the dense p x p Qtbar, expanded on first use.
     """
 
     z: complex
     q_bar_diag: np.ndarray
-    q_tilde_bar: np.ndarray
+    q_tilde: np.ndarray
     source: ResolventPoint
-    q_tilde_eigs: np.ndarray | None = None
+    params: ModelParams = field(repr=False, compare=False)
+
+    @cached_property
+    def q_tilde_bar(self) -> np.ndarray:
+        dense = _dense(self.q_tilde, self.params)
+        dense.setflags(write=False)
+        return dense
 
 
 @dataclass(frozen=True)
@@ -82,23 +88,12 @@ class SecondOrderSet:
 def first_order(point: ResolventPoint, params: ModelParams) -> EquivalentSet:
     """Build (Qbar, Qtbar) from a converged point and certify the defining system."""
     z = point.z
-    g, zk = _kernel_point(point)
     try:
-        t, minv = _trace_terms(g, zk, params)
+        t, q_tilde, residual = _q_tilde(point.g, z, params)
     except NumericalSingularityError as exc:
         raise NearSupportError(
             f"I + sum c_a g_a C_a is singular at z={z}"
         ) from exc
-    q_tilde_eigs = None
-    if minv.ndim == 1:
-        q_tilde_eigs = -minv / zk
-        u = params.basis
-        q_tilde_bar = np.diag(q_tilde_eigs) if u is None else (u * q_tilde_eigs) @ u.T
-        residual = np.abs(_mixture_eigenvalues(g, params) * minv - 1.0).max()
-        q_tilde_eigs.setflags(write=False)
-    else:
-        q_tilde_bar = -minv / zk
-        residual = np.abs(mixture_matrix(g, params) @ minv - np.eye(params.p)).max()
     if residual > 1e-10:
         raise NearSupportError(
             f"defining system for Qtbar at z={z} solved to only {residual:.3e}"
@@ -111,9 +106,9 @@ def first_order(point: ResolventPoint, params: ModelParams) -> EquivalentSet:
         )
     q_bar = params.c0 * np.asarray(point.g, dtype=complex)
     q_bar.setflags(write=False)
-    q_tilde_bar.setflags(write=False)
-    return EquivalentSet(z=z, q_bar_diag=q_bar, q_tilde_bar=q_tilde_bar, source=point,
-                         q_tilde_eigs=q_tilde_eigs)
+    q_tilde.setflags(write=False)
+    return EquivalentSet(z=z, q_bar_diag=q_bar, q_tilde=q_tilde, source=point,
+                         params=params)
 
 
 def q_bar_trace(eq: EquivalentSet, params: ModelParams) -> complex:
@@ -123,9 +118,7 @@ def q_bar_trace(eq: EquivalentSet, params: ModelParams) -> complex:
 
 def pair_traces(eq1: EquivalentSet, eq2: EquivalentSet, params: ModelParams):
     """T_ab = (1/p) tr C_a Qtbar_1 C_b Qtbar_2 for all class pairs."""
-    if eq1.q_tilde_eigs is not None and eq2.q_tilde_eigs is not None:
-        return _pair_traces(eq1.q_tilde_eigs, eq2.q_tilde_eigs, params)
-    return _pair_traces(eq1.q_tilde_bar, eq2.q_tilde_bar, params)
+    return _pair_traces(eq1.q_tilde, eq2.q_tilde, params)
 
 
 def omega_radius_bound(z1, z2, params: ModelParams) -> float:
@@ -212,7 +205,10 @@ def qt_ca_qt_equivalent(so: SecondOrderSet, eq1: EquivalentSet, eq2: EquivalentS
     _check_pair(so, eq1, eq2, a, params)
     base = [eq1.q_tilde_bar @ params.covariances[b] @ eq2.q_tilde_bar
             for b in range(params.k)]
-    return base[a] + sum(so.r[b, a] * base[b] for b in range(params.k))
+    out = base[a].copy()
+    for b in range(params.k):
+        out += so.r[b, a] * base[b]
+    return out
 
 
 def qt_w_da_wt_qt_equivalent(so: SecondOrderSet, eq1: EquivalentSet,
@@ -265,25 +261,13 @@ def log_det_functional(sigma2: float, params: ModelParams,
 
 
 def log_det_at(point: ResolventPoint, params: ModelParams) -> float:
-    """log_det_functional at sigma^2 = -z from a point solved at real z < 0.
-
-    log det M comes from the Cholesky factor of M, or on a model with
-    joint spectra from the eigenvalues d of M; either checks that M is
-    positive definite (c0 g_a > 0) there.
-    """
+    """log_det_functional at sigma^2 = -z from a point solved at real z < 0;
+    log det M checks that M is positive definite (c0 g_a > 0) there."""
     sigma2 = -point.z.real
     if point.z.imag != 0.0 or not sigma2 > 0:
         raise ValidationError(f"point was solved at {point.z}, not at a real z < 0")
-    g = point.g.real
     try:
-        if params.spectra is not None:
-            d = _mixture_eigenvalues(g, params)
-            if not (d > 0.0).all():
-                raise np.linalg.LinAlgError("M has an eigenvalue <= 0")
-            log_det_m = np.sum(np.log(d))
-        else:
-            chol = np.linalg.cholesky(mixture_matrix(g, params))
-            log_det_m = 2.0 * np.sum(np.log(np.diag(chol)))
+        log_det_m = _log_det_mixture(point.g.real, params)
     except np.linalg.LinAlgError as exc:
         raise ConsistencyError(
             f"I + sum c_a g_a C_a is not positive definite at z={-sigma2}"

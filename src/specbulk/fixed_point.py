@@ -215,6 +215,44 @@ def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
     return pair / params.p
 
 
+def _q_tilde(g, z, params: ModelParams):
+    """Qtbar = -M^{-1}/z in the kernels' form, with the traces t_a and the
+    residual max |M M^{-1} - I| of the inversion.
+
+    The form is the one `_trace_terms` gives M^{-1}: the 1-D diagonal in
+    the joint eigenbasis on a model with joint spectra, else dense.
+    `_pair_traces` takes it as it is; `_dense` expands it.
+    """
+    t, minv = _trace_terms(g, z, params)
+    if minv.ndim == 1:
+        residual = np.abs(_mixture_eigenvalues(g, params) * minv - 1.0).max()
+    else:
+        residual = np.abs(mixture_matrix(g, params) @ minv - np.eye(params.p)).max()
+    return t, -minv / z, residual
+
+
+def _dense(op, params: ModelParams) -> np.ndarray:
+    """The p x p matrix of an operator in the kernels' form: U diag(op) U^T
+    for a 1-D op (diag(op) when the model has no basis), else op itself."""
+    if op.ndim == 2:
+        return op
+    u = params.basis
+    return np.diag(op) if u is None else (u * op) @ u.T
+
+
+def _log_det_mixture(g, params: ModelParams) -> float:
+    """log det M for real g, from the eigenvalues d of M on a model with
+    joint spectra, else from the Cholesky factor of M. Raises LinAlgError
+    unless M is positive definite."""
+    if params.spectra is not None:
+        d = _mixture_eigenvalues(g, params)
+        if not (d > 0.0).all():
+            raise np.linalg.LinAlgError("M has an eigenvalue <= 0")
+        return float(np.sum(np.log(d)))
+    chol = np.linalg.cholesky(mixture_matrix(g, params))
+    return float(2.0 * np.sum(np.log(np.diag(chol))))
+
+
 def _psi_eval(g, z, params):
     """One Psi application: (f, residual, traces, mixture inverse)."""
     t, minv = _trace_terms(g, z, params)
@@ -550,20 +588,11 @@ def g_derivative(point: ResolventPoint, params: ModelParams) -> np.ndarray:
 
     At the fixed point the Jacobian of Psi is the kernel Omega(z, z):
     c0 c_b g_a^2 (1/p) tr C_a M^{-1} C_b M^{-1} with M = I + sum c_b g_b C_b.
-    At a real z it is taken in real arithmetic; g' is returned complex.
     """
     params = _require_validated(params)
-    g, z = _kernel_point(point)
-    t, minv = _trace_terms(g, z, params)
-    return _g_prime(_psi_jacobian(t, minv, z, params), g, z, params).astype(complex)
-
-
-def _kernel_point(point: ResolventPoint):
-    """(g, z) of a solved point as the kernels take them: real at a real z,
-    where the fixed point is real and M needs no complex arithmetic."""
-    if point.z.imag == 0.0:
-        return point.g.real, point.z.real
-    return point.g, point.z
+    g = np.asarray(point.g, dtype=complex)
+    t, minv = _trace_terms(g, point.z, params)
+    return _g_prime(_psi_jacobian(t, minv, point.z, params), g, point.z, params)
 
 
 def _g_prime(omega, g, z, params: ModelParams) -> np.ndarray:

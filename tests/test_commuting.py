@@ -82,6 +82,29 @@ class TestDetection:
         bent[0, 1] = bent[1, 0] = bent[0, 1] + 1e-3
         assert _model(32, (16, 48), [toep, bent]).spectra is None
 
+    def test_shared_probe_eigenvector_rejected_by_rotation(self, monkeypatch):
+        # both classes have the probe vector v_i = 1/i as an eigenvector, so
+        # C_1 C_2 v = C_2 C_1 v and the probe passes; on the complement of v
+        # they are a Toeplitz and a diagonal matrix, which do not commute
+        p = 32
+        e = 1.0 / np.arange(1.0, p + 1.0)
+        e /= np.linalg.norm(e)
+        proj = np.eye(p) - np.outer(e, e)
+        covs = [2.0 * np.outer(e, e) + proj @ _toeplitz(p) @ proj,
+                3.0 * np.outer(e, e) + proj @ np.diag(np.linspace(0.5, 2.0, p)) @ proj]
+        covs = [0.5 * (c + c.T) for c in covs]
+        assert np.abs(covs[0] @ covs[1] @ e - covs[1] @ covs[0] @ e).max() <= 1e-14
+        assert np.abs(covs[0] @ covs[1] - covs[1] @ covs[0]).max() > 1e-2
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        params = _model(p, (16, 48), covs)
+        monkeypatch.undo()
+        assert len(calls) == 1  # the basis eigh, reached only past the probe
+        assert params.spectra is None and params.basis is None
+        _, minv = _trace_terms(np.full(2, 0.01 + 0.01j), 1j, params)
+        assert minv.shape == (p, p)
+
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 class TestAgreement:
@@ -102,7 +125,7 @@ class TestAgreement:
             pd = solve_g(z, dense, OPTS)
             partner = solve_g(np.conj(z), dense, OPTS)
             ef, ed = first_order(pd, fast), first_order(pd, dense)
-            assert ef.q_tilde_eigs is not None and ed.q_tilde_eigs is None
+            assert ef.q_tilde.ndim == 1 and ed.q_tilde.ndim == 2
             assert _close(ef.q_tilde_bar, ed.q_tilde_bar), z
             sf, sd = second_order(pd, partner, fast), second_order(pd, partner, dense)
             assert _close(sf.omega, sd.omega), z
