@@ -57,8 +57,9 @@ class EquivalentSet:
     q_bar_diag holds the k per-class diagonal values c0 g_a(z) of the
     block-constant Qbar; the dense n x n form is never materialized.
     q_tilde holds Qtbar in the form the fixed-point kernels take (a
-    diagonal in the joint eigenbasis when the covariances commute), and
-    q_tilde_bar is the dense p x p Qtbar, expanded on first use.
+    diagonal in the joint eigenbasis when the covariances commute, else a
+    stack of diagonal blocks), and q_tilde_bar is the dense p x p Qtbar,
+    expanded on first use.
     """
 
     z: complex

@@ -28,8 +28,13 @@ spectra lambda_a(i): M is then diagonal in the joint eigenbasis, with
 eigenvalues d = 1 + sum_b c_b g_b lambda_b, and each trace is the O(kp)
 sum (1/p) sum_i lambda_a(i) / d(i), the classical Marchenko-Pastur /
 Silverstein-Bai form of the same equations. M^{-1} then travels as the
-1-D array 1/d, and `_pair_traces` takes 1-D operands as diagonals in the
-same basis. Non-commuting models use dense p x p matrices throughout.
+1-D array 1/d. Every other model carries its covariances as a stack of
+m diagonal blocks in a fixed orthogonal basis (`ModelParams.blocks`):
+two blocks of ceil(p/2) when every C_a commutes with the reversal
+i -> p-1-i, as symmetric Toeplitz matrices do, else the one p x p block
+C_a. M and M^{-1} are then (m, b, b) stacks in the same basis, so an
+inversion costs m inverses of size b. `_pair_traces`, `_q_tilde`,
+`_log_det_mixture` and `_dense` take either form.
 """
 from __future__ import annotations
 
@@ -109,13 +114,18 @@ class ResolventPoint:
     residual: float
 
 
-def mixture_matrix(g, params: ModelParams) -> np.ndarray:
-    """I_p + sum_b c_b g_b C_b for the current iterate g (real for real g)."""
-    c = params.c
-    m = np.eye(params.p, dtype=np.result_type(np.asarray(g), float))
-    for b in range(params.k):
-        m = m + (c[b] * g[b]) * params.covariances[b]
-    return m
+def _mixture_blocks(g, params: ModelParams) -> np.ndarray:
+    """The (m, b, b) diagonal blocks of M = I + sum_b c_b g_b C_b on a model
+    with blocks (real for real g). A complex weight vector enters as its
+    (re, im) columns, so the sum is one real GEMM with a complex result."""
+    blocks = params.blocks
+    w = params.c * g
+    if np.iscomplexobj(w):
+        w = np.stack([w.real, w.imag], axis=1)
+    flat = blocks.reshape(len(blocks), -1).T @ w
+    mix = (flat.view(complex) if flat.ndim == 2 else flat).reshape(blocks.shape[1:])
+    mix.reshape(len(mix), -1)[:, :: mix.shape[-1] + 1] += 1.0
+    return mix
 
 
 def _mixture_eigenvalues(g, params: ModelParams) -> np.ndarray:
@@ -133,10 +143,11 @@ def _trace_terms(g, z, params: ModelParams):
 
     On a model with joint spectra (commuting covariances) M^{-1} is the
     1-D array 1/d of its eigenvalues in the joint eigenbasis and t_a is
-    the sum lambda_a . (1/d) / p. Otherwise M^{-1} is the dense inverse;
-    with C_a symmetric, t_a is the dot of C_a.ravel() with M^{-1} raveled,
-    and a complex M^{-1} enters as its real view of (re, im) pairs, so
-    each t_a is one real BLAS mat-vec.
+    the sum lambda_a . (1/d) / p. Otherwise M^{-1} is the (m, b, b) stack
+    of the inverses of M's diagonal blocks, from one batched inversion;
+    with the blocks of C_a symmetric, t_a is the dot of the raveled blocks
+    of C_a with M^{-1} raveled, and a complex M^{-1} enters as its real
+    view of (re, im) pairs, so all k traces are one real BLAS product.
     """
     if params.spectra is not None:
         d = _mixture_eigenvalues(g, params)
@@ -146,9 +157,8 @@ def _trace_terms(g, z, params: ModelParams):
             )
         minv = 1.0 / d
         return params.spectra @ minv / params.p, minv
-    m = mixture_matrix(g, params)
     try:
-        minv = np.linalg.inv(m)
+        minv = np.linalg.inv(_mixture_blocks(g, params))
     except np.linalg.LinAlgError as exc:
         raise NumericalSingularityError(
             f"singular mixture matrix I + sum c_b g_b C_b at z={z}", z=z
@@ -156,7 +166,7 @@ def _trace_terms(g, z, params: ModelParams):
     flat = minv.reshape(-1)
     if np.iscomplexobj(flat):
         flat = flat.view(float).reshape(-1, 2)
-    t = np.array([cov.reshape(-1) @ flat for cov in params.covariances]) / params.p
+    t = params.blocks.reshape(params.k, -1) @ flat / params.p
     if t.ndim == 2:
         t = t.view(complex)[:, 0]  # the (re, im) rows back as complex
     return t, minv
@@ -183,12 +193,14 @@ def _psi_jacobian(t, minv, z, params: ModelParams):
     return (params.c[None, :] / params.c0) * pair / u2[:, None]
 
 
-def _cov_times(cov, mat):
-    """C_a @ mat; a complex mat is multiplied as its (p, 2p) real view, so
-    the product is one real GEMM instead of a complex one on an upcast C_a."""
-    if np.iscomplexobj(mat):
-        return (cov @ np.ascontiguousarray(mat).view(float)).view(complex)
-    return cov @ mat
+def _blocks_times(blocks, op):
+    """The blocks of every C_a times the (m, b, b) stack op, as a
+    (k, m, b, b) array; a complex op is multiplied as its (m, b, 2b) real
+    view, so the products are real GEMMs instead of complex ones on
+    upcast blocks."""
+    if np.iscomplexobj(op):
+        return (blocks @ np.ascontiguousarray(op).view(float)).view(complex)
+    return blocks @ op
 
 
 def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
@@ -196,20 +208,22 @@ def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
 
     1-D operands are the diagonals of L and R in the joint eigenbasis of a
     model with joint spectra lambda (as `_trace_terms` returns M^{-1}), and
-    T = (lambda * l * r) lambda^T / p. Dense operands serve every model;
-    when R is L the matrix is symmetric (cyclic trace with symmetric C_a)
-    and only its upper triangle is computed. Real L and R give a real T.
+    T = (lambda * l * r) lambda^T / p. Otherwise the operands are (m, b, b)
+    stacks of diagonal blocks in the basis of `ModelParams.blocks`, and
+    the trace is the sum over the m blocks; when R is L the matrix is
+    symmetric (cyclic trace with symmetric blocks) and only its upper
+    triangle is computed. Real L and R give a real T.
     """
     if np.ndim(left) == 1:
         lam = params.spectra
         return (lam * (left * right)) @ lam.T / params.p
     k = params.k
-    x = [_cov_times(cov, left) for cov in params.covariances]
-    y = x if right is left else [_cov_times(cov, right) for cov in params.covariances]
+    x = _blocks_times(params.blocks, left)
+    y = x if right is left else _blocks_times(params.blocks, right)
     pair = np.empty((k, k), dtype=np.result_type(left, right))
     for a in range(k):
         for b in range(a if y is x else 0, k):
-            pair[a, b] = np.einsum("ij,ji->", x[a], y[b])
+            pair[a, b] = np.einsum("nij,nji->", x[a], y[b])
             if y is x:
                 pair[b, a] = pair[a, b]
     return pair / params.p
@@ -220,37 +234,61 @@ def _q_tilde(g, z, params: ModelParams):
     residual max |M M^{-1} - I| of the inversion.
 
     The form is the one `_trace_terms` gives M^{-1}: the 1-D diagonal in
-    the joint eigenbasis on a model with joint spectra, else dense.
-    `_pair_traces` takes it as it is; `_dense` expands it.
+    the joint eigenbasis on a model with joint spectra, else the (m, b, b)
+    stack of diagonal blocks. `_pair_traces` takes it as it is; `_dense`
+    expands it.
     """
     t, minv = _trace_terms(g, z, params)
     if minv.ndim == 1:
         residual = np.abs(_mixture_eigenvalues(g, params) * minv - 1.0).max()
     else:
-        residual = np.abs(mixture_matrix(g, params) @ minv - np.eye(params.p)).max()
+        prod = _mixture_blocks(g, params) @ minv
+        prod.reshape(len(prod), -1)[:, :: prod.shape[-1] + 1] -= 1.0
+        residual = np.abs(prod).max()
     return t, -minv / z, residual
 
 
 def _dense(op, params: ModelParams) -> np.ndarray:
-    """The p x p matrix of an operator in the kernels' form: U diag(op) U^T
-    for a 1-D op (diag(op) when the model has no basis), else op itself."""
-    if op.ndim == 2:
-        return op
-    u = params.basis
-    return np.diag(op) if u is None else (u * op) @ u.T
+    """The p x p matrix of an operator in the kernels' form.
+
+    A 1-D op is U diag(op) U^T (diag(op) when the model has no basis). A
+    one-block stack is op[0]. A two-block stack (E, O) in the even/odd
+    basis of the reversal J expands, with h = p // 2, S = (E11 + O) / 2 and
+    D = (E11 - O) / 2 on the leading h indices, to the top rows [S, D J]
+    (plus row and column h from E / sqrt 2 and E_hh when p is odd); J X J
+    = X gives the bottom rows.
+    """
+    if op.ndim == 1:
+        u = params.basis
+        return np.diag(op) if u is None else (u * op) @ u.T
+    if len(op) == 1:
+        return op[0]
+    p = params.p
+    h = p // 2
+    even, odd = op[0], op[1, :h, :h]
+    out = np.empty((p, p), dtype=op.dtype)
+    out[:h, :h] = 0.5 * (even[:h, :h] + odd)
+    out[:h, ::-1][:, :h] = 0.5 * (even[:h, :h] - odd)
+    if p % 2:
+        out[:h, h] = even[:h, h] / np.sqrt(2.0)
+        out[h, :h] = even[h, :h] / np.sqrt(2.0)
+        out[h, h + 1:] = out[h, h - 1::-1]
+        out[h, h] = even[h, h]
+    out[p - h:] = out[h - 1::-1, ::-1]
+    return out
 
 
 def _log_det_mixture(g, params: ModelParams) -> float:
     """log det M for real g, from the eigenvalues d of M on a model with
-    joint spectra, else from the Cholesky factor of M. Raises LinAlgError
-    unless M is positive definite."""
+    joint spectra, else from the Cholesky factors of M's diagonal blocks.
+    Raises LinAlgError unless M is positive definite."""
     if params.spectra is not None:
         d = _mixture_eigenvalues(g, params)
         if not (d > 0.0).all():
             raise np.linalg.LinAlgError("M has an eigenvalue <= 0")
         return float(np.sum(np.log(d)))
-    chol = np.linalg.cholesky(mixture_matrix(g, params))
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    chol = np.linalg.cholesky(_mixture_blocks(g, params))
+    return float(2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
 
 
 def _psi_eval(g, z, params):

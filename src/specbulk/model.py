@@ -15,10 +15,10 @@ from .errors import ValidationError
 # Numerical tolerances for accepting covariance input.
 PSD_TOL = 1e-10
 SYM_TOL = 1e-12
-# Relative size, against C_max^2 (probe) or C_max (rotated covariances),
-# below which commutators and off-diagonal entries count as zero. The
-# traces taken in the joint eigenbasis err only to second order in the
-# off-diagonal part left out.
+# Relative size, against C_max^2 (probe) or C_max (rotated covariances,
+# C_a - J C_a J), below which commutators and off-diagonal entries count as
+# zero. The traces taken in the joint eigenbasis or on diagonal blocks err
+# only to second order in the off-diagonal part left out.
 COMMUTE_TOL = 1e-9
 
 _COV_KINDS = ("identity", "scaled_identity", "toeplitz", "diagonal", "dense")
@@ -123,13 +123,19 @@ class ModelParams:
     """The ensemble (p, n_1..n_k, C_1..C_k) with derived ratios.
 
     Construct with raw fields, then pass through validate_model, which
-    certifies PSD-ness, symmetrizes, fills c_max and freezes the arrays.
-    Instances are immutable after validation and safe to share.
+    certifies PSD-ness, symmetrizes, fills c_max and the class fractions c
+    (c_a = n_a / n) and freezes the arrays. Instances are immutable after
+    validation and safe to share.
 
     When the covariances commute, validation also fills spectra, the k x p
     joint eigenvalues (row a holds the eigenvalues of C_a), and basis, the
     orthogonal p x p matrix U with U^T C_a U = diag(spectra[a]); basis
-    stays None when every C_a is diagonal. Both stay None otherwise.
+    stays None when every C_a is diagonal. Otherwise both stay None and
+    blocks holds the covariances as one (k, m, b, b) array of diagonal
+    blocks in a fixed orthogonal basis: m = 2 and b = ceil(p/2) when every
+    C_a commutes with the reversal i -> p-1-i (the even and odd vectors;
+    the odd block of an odd p is zero-padded at its last index), else
+    m = 1, b = p and covariances[a] is the view blocks[a, 0].
     """
 
     p: int
@@ -139,6 +145,8 @@ class ModelParams:
     validated: bool = False
     spectra: np.ndarray | None = field(default=None, repr=False)
     basis: np.ndarray | None = field(default=None, repr=False)
+    blocks: np.ndarray | None = field(default=None, repr=False)
+    c: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def k(self) -> int:
@@ -151,10 +159,6 @@ class ModelParams:
     @property
     def c0(self) -> float:
         return self.p / self.n
-
-    @property
-    def c(self) -> np.ndarray:
-        return np.asarray(self.class_sizes, dtype=float) / self.n
 
     def class_slices(self) -> list[slice]:
         """Column ranges of each class inside the n columns of W."""
@@ -216,9 +220,13 @@ def validate_model(params: ModelParams) -> ModelParams:
         covs.append(mat)
 
     spectra, basis = _joint_spectra(covs, c_max)
-    for arr in (spectra, basis):
+    blocks = None if spectra is not None else _class_blocks(covs, c_max)
+    c = np.asarray(sizes, dtype=float) / sum(sizes)
+    for arr in (spectra, basis, blocks, c):
         if arr is not None:
             arr.setflags(write=False)
+    if blocks is not None and blocks.shape[1] == 1:
+        covs = list(blocks[:, 0])  # read-only views: one copy of the matrices
     return replace(
         params,
         p=p,
@@ -228,6 +236,8 @@ def validate_model(params: ModelParams) -> ModelParams:
         validated=True,
         spectra=spectra,
         basis=basis,
+        blocks=blocks,
+        c=c,
     )
 
 
@@ -260,6 +270,38 @@ def _joint_spectra(covs, c_max: float):
     if off > COMMUTE_TOL * c_max:
         return None, None
     return spectra, u
+
+
+def _class_blocks(covs, c_max: float) -> np.ndarray:
+    """The covariances as one (k, m, b, b) array of diagonal blocks.
+
+    When every C_a commutes with the reversal J (i -> p-1-i) to
+    COMMUTE_TOL C_max, as every symmetric Toeplitz matrix does, the even
+    vectors (e_i + e_{p-1-i})/sqrt 2 (and e_h for odd p = 2h + 1) and the
+    odd vectors (e_i - e_{p-1-i})/sqrt 2 split each C_a into two blocks
+    (Cantoni & Butler, Linear Algebra Appl. 1976). With S = (C_a + J C_a J)/2
+    the even block is S11 + S12 J and the odd one S11 - S12 J, on the
+    leading ceil(p/2) and p/2 indices, so both are slices of S; the odd
+    block of an odd p is zero-padded at its last index. Otherwise the one
+    block is C_a itself.
+    """
+    p = covs[0].shape[0]
+    h, b = p // 2, (p + 1) // 2
+    # the leading rows of J C_a J; C_a - J C_a J vanishes where they match C_a
+    mirrored = [c[::-1, ::-1][:b] for c in covs]
+    if any(np.abs(c[:b] - r).max() > COMMUTE_TOL * c_max
+           for c, r in zip(covs, mirrored)):
+        return np.stack(covs)[:, None]
+    blocks = np.zeros((len(covs), 2, b, b))
+    for a, (c, r) in enumerate(zip(covs, mirrored)):
+        top = 0.5 * (c[:b] + r)  # the leading rows of S
+        flip = top[:, ::-1][:, :b]  # S12 J
+        np.add(top[:, :b], flip, out=blocks[a, 0])
+        np.subtract(top[:h, :h], flip[:h, :h], out=blocks[a, 1, :h, :h])
+    if p % 2:  # the slices double row and column h, where e_h is a unit vector
+        blocks[:, 0, h, :] /= np.sqrt(2.0)
+        blocks[:, 0, :, h] /= np.sqrt(2.0)
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import scipy.integrate
 
-from specbulk.fixed_point import DEFAULT_OPTIONS, mixture_matrix, solve_g
+from specbulk.fixed_point import DEFAULT_OPTIONS, solve_g
 from specbulk.model import (
     CovarianceSpec,
     ModelParams,
@@ -30,6 +30,13 @@ def threeclass_params(p=256):
     return THREECLASS_BASE.at_p(p)
 
 
+def threeclass_odd_params():
+    """The three Toeplitz classes of the demo at the odd p = 65, with class
+    sizes 8, 40 and 16."""
+    covs = tuple(build_covariance(spec, 65) for spec in THREECLASS_SPECS)
+    return validate_model(ModelParams(p=65, class_sizes=(8, 40, 16), covariances=covs))
+
+
 def mp_params(c0_num, c0_den, p=16):
     """k=1, C=I model with c0 = c0_num/c0_den; its measure depends on c0 only."""
     if (p * c0_den) % c0_num:
@@ -41,9 +48,20 @@ def mp_params(c0_num, c0_den, p=16):
 
 
 def dense_reference(params):
-    """The same validated model with its joint spectra and basis cleared, so
-    that every kernel takes the dense p x p path."""
-    return dataclasses.replace(params, spectra=None, basis=None)
+    """The same validated model with its joint spectra and basis cleared and
+    its covariances as one p x p block each, so that every kernel works on
+    dense p x p matrices."""
+    blocks = np.stack(params.covariances)[:, None]
+    blocks.setflags(write=False)
+    return dataclasses.replace(params, spectra=None, basis=None, blocks=blocks)
+
+
+def mixture_matrix(g, params):
+    """I_p + sum_b c_b g_b C_b for the iterate g (real for real g)."""
+    m = np.eye(params.p, dtype=np.result_type(np.asarray(g), float))
+    for b in range(params.k):
+        m = m + (params.c[b] * g[b]) * params.covariances[b]
+    return m
 
 
 def mp_spec(p_base, n_base):

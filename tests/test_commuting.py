@@ -1,16 +1,24 @@
-"""The commuting fast path against the dense path on the same models.
+"""The commuting fast path and the reflection blocks against the dense path.
 
 validate_model stores the joint spectra of commuting covariances, and the
-kernels then work on diagonals in the joint eigenbasis; `dense_reference`
-clears them so the same model goes through dense p x p matrices.
+kernels then work on diagonals in the joint eigenbasis; when the classes do
+not commute but each commutes with the reversal i -> p-1-i, it stores two
+half-size diagonal blocks of each class instead. `dense_reference` clears
+both, so the same model goes through one dense p x p block.
 """
 import numpy as np
 import pytest
 
-from helpers import dense_reference, threeclass_params
+from helpers import dense_reference, threeclass_odd_params, threeclass_params
 
 from specbulk.equivalents import first_order, log_det_functional, second_order
-from specbulk.fixed_point import SolverOptions, _trace_terms, g_derivative, solve_g
+from specbulk.fixed_point import (
+    SolverOptions,
+    _dense,
+    _trace_terms,
+    g_derivative,
+    solve_g,
+)
 from specbulk.model import CovarianceSpec, ModelParams, build_covariance, validate_model
 from specbulk.spectrum import density_grid
 
@@ -39,6 +47,9 @@ def _commuting_models():
 
 
 MODELS = _commuting_models()
+# the three-class Toeplitz demo, and its classes at an odd p
+REFLECTION_MODELS = {"threeclass_even": threeclass_params(64),
+                     "threeclass_odd": threeclass_odd_params()}
 
 
 def _close(fast, dense, rtol=RTOL):
@@ -53,9 +64,12 @@ def _points(params):
 
 class TestDetection:
     def test_kinds_store_spectra(self):
+        # reversal-symmetric commuting models (identity, toeplitz_k1,
+        # dense_pair) keep their joint spectra and take no blocks
         for name, params in MODELS.items():
             assert params.spectra is not None, name
             assert params.spectra.shape == (params.k, params.p)
+            assert params.blocks is None, name
             assert (params.basis is None) == (name in ("identity", "scaled_identity",
                                                        "diagonal")), name
 
@@ -66,15 +80,52 @@ class TestDetection:
             for cov, lam in zip(params.covariances, params.spectra):
                 assert np.abs(u.T @ cov @ u - np.diag(lam)).max() <= 1e-12 * params.c_max
 
-    def test_threeclass_keeps_dense_kernels(self, monkeypatch):
+    def test_threeclass_takes_two_blocks(self, monkeypatch):
         # the two Toeplitz classes with rho 0.2 and 0.4 do not commute: the
-        # probe rejects them before any eigh of a combination
+        # probe rejects them before any eigh of a combination, and the
+        # reversal test that follows needs no eigh either
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: pytest.fail("eigh"))
         params = threeclass_params(64)
         monkeypatch.undo()
         assert params.spectra is None and params.basis is None
+        assert params.blocks.shape == (3, 2, 32, 32)
         _, minv = _trace_terms(np.full(3, 0.01 + 0.01j), 1j, params)
-        assert minv.shape == (64, 64)
+        assert minv.shape == (2, 32, 32)
+        for cov, blocks in zip(params.covariances, params.blocks):
+            assert np.abs(_dense(blocks, params) - cov).max() <= 1e-14 * params.c_max
+
+    def test_odd_p_pads_the_odd_block(self):
+        # at p = 65 the even block holds 33 vectors and the odd one 32,
+        # padded with a zero row and column; M^{-1} is 1 on the pad
+        params = threeclass_odd_params()
+        assert params.blocks.shape == (3, 2, 33, 33)
+        assert not params.blocks[:, 1, 32].any() and not params.blocks[:, 1, :, 32].any()
+        for cov, blocks in zip(params.covariances, params.blocks):
+            assert np.abs(_dense(blocks, params) - cov).max() <= 1e-14 * params.c_max
+        _, minv = _trace_terms(np.full(3, 0.01 + 0.01j), 1j, params)
+        pad = np.zeros(33)
+        pad[32] = 1.0
+        assert np.abs(minv[1, 32] - pad).max() <= 1e-15
+        assert np.abs(minv[1, :, 32] - pad).max() <= 1e-15
+
+    def test_asymmetric_class_keeps_one_block(self):
+        # a diagonal with increasing values does not commute with the
+        # reversal: the covariances stay p x p, as views into the blocks
+        p = 32
+        params = _model(p, (16, 48), [np.diag(np.linspace(0.5, 2.0, p)), _toeplitz(p)])
+        assert params.spectra is None
+        assert params.blocks.shape == (2, 1, p, p)
+        for cov, block in zip(params.covariances, params.blocks[:, 0]):
+            assert np.shares_memory(cov, params.blocks) and (cov == block).all()
+            assert not cov.flags.writeable
+
+    def test_near_reversal_symmetric_class_rejected(self):
+        p = 32
+        covs = [_toeplitz(p, scale=9.0, rho=0.2), _toeplitz(p, scale=17.0, rho=0.4)]
+        assert _model(p, (16, 48), covs).blocks.shape == (2, 2, 16, 16)
+        c_max = max(np.linalg.eigvalsh(cov)[-1] for cov in covs)
+        covs[0][0, 0] += 1e-6 * c_max
+        assert _model(p, (16, 48), covs).blocks.shape == (2, 1, p, p)
 
     def test_near_commuting_pair_rejected(self):
         toep = _toeplitz(32)
@@ -103,13 +154,16 @@ class TestDetection:
         assert len(calls) == 1  # the basis eigh, reached only past the probe
         assert params.spectra is None and params.basis is None
         _, minv = _trace_terms(np.full(2, 0.01 + 0.01j), 1j, params)
-        assert minv.shape == (p, p)
+        assert minv.shape == (1, p, p)
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
+ALL_MODELS = {**MODELS, **REFLECTION_MODELS}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MODELS))
 class TestAgreement:
     def test_solve_and_derivative(self, name):
-        fast = MODELS[name]
+        fast = ALL_MODELS[name]
         dense = dense_reference(fast)
         for z in _points(fast):
             pf, pd = solve_g(z, fast, OPTS), solve_g(z, dense, OPTS)
@@ -119,13 +173,13 @@ class TestAgreement:
             assert _close(g_derivative(pf, fast), g_derivative(pd, dense)), z
 
     def test_equivalents(self, name):
-        fast = MODELS[name]
+        fast = ALL_MODELS[name]
         dense = dense_reference(fast)
         for z in _points(fast):
             pd = solve_g(z, dense, OPTS)
             partner = solve_g(np.conj(z), dense, OPTS)
             ef, ed = first_order(pd, fast), first_order(pd, dense)
-            assert ef.q_tilde.ndim == 1 and ed.q_tilde.ndim == 2
+            assert ed.q_tilde.shape == (1, fast.p, fast.p) != ef.q_tilde.shape
             assert _close(ef.q_tilde_bar, ed.q_tilde_bar), z
             sf, sd = second_order(pd, partner, fast), second_order(pd, partner, dense)
             assert _close(sf.omega, sd.omega), z
@@ -139,7 +193,7 @@ class TestAgreement:
             assert abs(ld_f - ld_d) <= RTOL * abs(ld_d)
 
     def test_density_support_and_atom(self, name):
-        fast = MODELS[name]
+        fast = ALL_MODELS[name]
         dense = dense_reference(fast)
         edge = (1.0 + np.sqrt(1.0 / fast.c0)) ** 2 * fast.c_max
         gf = density_grid(0.0, 1.2 * edge, 121, fast, OPTS)

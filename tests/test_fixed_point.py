@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mp_params, mp_stieltjes, threeclass_params
+from helpers import mixture_matrix, mp_params, mp_stieltjes, threeclass_params
 
 from specbulk import fixed_point
 from specbulk.errors import ConsistencyError, ValidationError
@@ -335,8 +335,8 @@ class TestSolverOptions:
 
 
 class TestKernels:
-    # the real-BLAS kernels and the joint-eigenbasis kernels against their
-    # einsum definitions
+    # the real-BLAS block kernels and the joint-eigenbasis kernels against
+    # their einsum definitions on the expanded p x p operators
 
     @pytest.mark.parametrize("z", [2 + 0.5j, -1.0])
     def test_trace_terms_match_einsum(self, z):
@@ -344,16 +344,20 @@ class TestKernels:
         g = solve_g(z, params).g
         g = g if z.imag else g.real
         t, minv = fixed_point._trace_terms(g, z, params)
-        ref = np.array([np.einsum("ij,ji->", cov, minv)
+        dense = fixed_point._dense(minv, params)
+        ref = np.array([np.einsum("ij,ji->", cov, dense)
                         for cov in params.covariances]) / params.p
+        assert minv.shape == (2, 32, 32)
         assert t.dtype == ref.dtype == (complex if z.imag else float)
         assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
+        inv = np.linalg.inv(mixture_matrix(g, params))
+        assert np.abs(dense - inv).max() <= 1e-13 * np.abs(inv).max()
 
     @pytest.mark.parametrize("kind", ["complex-distinct", "real-same"])
     def test_pair_traces_match_einsum(self, kind):
         params = threeclass_params(64)
         rng = np.random.default_rng(3)
-        shape = (params.p, params.p)
+        shape = params.blocks.shape[1:]
         if kind == "complex-distinct":
             left = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             right = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -361,7 +365,8 @@ class TestKernels:
             left = right = rng.standard_normal(shape)
         pair = fixed_point._pair_traces(left, right, params)
         covs = np.array(params.covariances)
-        ref = np.einsum("aij,jk,bkl,li->ab", covs, left, covs, right) / params.p
+        ref = np.einsum("aij,jk,bkl,li->ab", covs, fixed_point._dense(left, params),
+                        covs, fixed_point._dense(right, params)) / params.p
         assert pair.dtype == ref.dtype == (float if kind == "real-same" else complex)
         assert np.abs(pair - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -372,7 +377,7 @@ class TestKernels:
         g = solve_g(z, params).g
         g = g if z.imag else g.real
         t, minv = fixed_point._trace_terms(g, z, params)
-        dense = np.linalg.inv(fixed_point.mixture_matrix(g, params))
+        dense = np.linalg.inv(mixture_matrix(g, params))
         ref = np.array([np.einsum("ij,ji->", cov, dense)
                         for cov in params.covariances]) / params.p
         assert minv.shape == (params.p,)
