@@ -31,7 +31,6 @@ from .fixed_point import (
     ResolventPoint,
     SolverOptions,
     g_derivative,
-    psi_step,
     solve_g,
     solve_grid,
 )
@@ -47,7 +46,6 @@ from .montecarlo import (
     McMetric,
     McReport,
     convergence_report,
-    empirical_resolvents,
     histogram_report,
     norm_bound_report,
     outlier_report,
@@ -55,7 +53,6 @@ from .montecarlo import (
     variance_scaling_report,
 )
 from .nonneg import (
-    RadiusCertificate,
     check_cs_radius,
     perron_left_vector,
     spectral_radius,
@@ -78,7 +75,6 @@ __all__ = [
     "validate_model",
     "SolverOptions",
     "ResolventPoint",
-    "psi_step",
     "solve_g",
     "solve_grid",
     "g_derivative",
@@ -101,13 +97,11 @@ __all__ = [
     "McMetric",
     "McReport",
     "sample_w",
-    "empirical_resolvents",
     "convergence_report",
     "outlier_report",
     "histogram_report",
     "variance_scaling_report",
     "norm_bound_report",
-    "RadiusCertificate",
     "spectral_radius",
     "perron_left_vector",
     "check_cs_radius",

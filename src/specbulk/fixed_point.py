@@ -22,6 +22,14 @@ has spectral radius below one (the real-axis characterisation of
 Silverstein & Choi, 1995). Only when that attempt fails does the solve
 descend Im z to ~1e-9 and polish at zero.
 
+Every start that may fail gets the same budget of _TRIAL_EVALS
+evaluations. A warm start and a ladder level taken with a grown step go
+through `_trial`, which rejects them when they do not converge within it
+or land outside the admissible half-plane; a rejected warm start falls
+back to the ladder, a rejected level to a shorter step. The real-axis
+Newton attempt is rejected when it does not converge within the budget
+or fails its rho(Omega) certificate.
+
 Every evaluation goes through one kernel, `_trace_terms`, which inverts M.
 When the class covariances commute, `validate_model` stores their joint
 spectra lambda_a(i): M is then diagonal in the joint eigenbasis, with
@@ -38,7 +46,6 @@ inversion costs m inverses of size b. `_pair_traces`, `_q_tilde`,
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +64,11 @@ from .nonneg import spectral_radius
 _NORM_FLOOR = 1e-30
 # Imaginary part below which a real-axis target is solved by continuation.
 _REAL_AXIS_ETA_FLOOR = 1e-9
-# Evaluation budget for a warm-start attempt before falling back to the
-# continuation ladder (a warm start from across a support edge can stall).
-_WARM_EVAL_CAP = 150
-# Psi evaluations allowed for one real-axis Newton attempt; outside the
-# support a warm or asymptotic start needs a handful
-_CERTIFY_EVALS = 12
+# Psi evaluations allowed for one trial start: a warm start, a capped
+# ladder level or a real-axis Newton attempt. A start that does not reach
+# tol within them (or that lands outside the admissible half-plane) is
+# rejected, and the solve falls back to a safer start.
+_TRIAL_EVALS = 12
 # Step fraction of the first damped Picard fallback step; halved (down to
 # 1/64) whenever a fallback step raises the residual.
 _PICARD_DAMPING = 1.0
@@ -71,13 +77,12 @@ _PICARD_DAMPING = 1.0
 _CONTINUATION_START_IM = 1.0
 # Ladder step control (Allgower & Georg, Numerical Continuation Methods,
 # 1990): the next level is eta / ratio; the ratio grows by _LADDER_GROWTH
-# after a level converged within _LADDER_QUICK evaluations. Levels above
-# _LADDER_RATIO get _LADDER_EVAL_CAP evaluations; one that stalls or leaves
-# the admissible half-plane is rejected and the ratio falls to its root.
+# after a level converged within _LADDER_QUICK evaluations. A level above
+# _LADDER_RATIO is a trial start; when it is rejected the ratio falls to
+# its root.
 _LADDER_RATIO = 2.0
 _LADDER_GROWTH = 16.0
 _LADDER_QUICK = 3
-_LADDER_EVAL_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -170,11 +175,6 @@ def _trace_terms(g, z, params: ModelParams):
     if t.ndim == 2:
         t = t.view(complex)[:, 0]  # the (re, im) rows back as complex
     return t, minv
-
-
-def psi_step(g, z, params: ModelParams):
-    """One application of the fixed-point map Psi at the point z."""
-    return _psi_eval(np.asarray(g, dtype=complex), z, params)[0]
 
 
 def initial_guess(z, params: ModelParams) -> np.ndarray:
@@ -371,7 +371,7 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
     return g, resid, evals, t
 
 
-def _real_newton(x, g0, params: ModelParams, tol, cap=_CERTIFY_EVALS):
+def _real_newton(x, g0, params: ModelParams, tol, cap=_TRIAL_EVALS):
     """Newton on Psi(g) = g in real arithmetic at real x, from g0.
 
     Each step solves (I - J) s = Psi(g) - g and tries the fractions 1 and
@@ -424,17 +424,11 @@ def _violates_signs(z, g):
 
 def _check_admissible(z, g, params: ModelParams):
     """Sign constraints on the admissible half-plane solution, with slack."""
-    img = (1.0 if z.imag > 0 else -1.0) * g.imag
     if _violates_signs(z, g):
+        img = (1.0 if z.imag > 0 else -1.0) * g.imag
         raise ConsistencyError(
             f"solution at z={z} violates half-plane sign constraints "
             f"(min Im g = {img.min():.3e})"
-        )
-    if np.any((img >= 0) & (img < 1e-14)) and abs(z.imag) < 1e6:
-        warnings.warn(
-            f"Im g_a at z={z} is below 1e-14; strict positivity is marginal",
-            RuntimeWarning,
-            stacklevel=3,
         )
     bound = 1.0 / abs(z.imag)
     if np.any(params.c0 * np.abs(g) > bound * (1.0 + 1e-8)):
@@ -467,6 +461,23 @@ def _secant_guess(z, z1, g1, z0, g0):
     return g1 if _wrong_half_plane(guess, z) else guess
 
 
+def _trial(z, guess, params, opts):
+    """A trial start: `_iterate` from guess, capped at _TRIAL_EVALS.
+
+    Returns what `_iterate` returns, or (None, nan, evaluations, None)
+    when the attempt stalls within the cap or its g violates the
+    half-plane signs (a fixed point on the conjugate branch); evaluations
+    counts the attempt either way.
+    """
+    try:
+        g, resid, evals, t = _iterate(z, guess, params, opts, _TRIAL_EVALS)
+    except NonConvergenceError as exc:
+        return None, float("nan"), exc.iterations, None
+    if _violates_signs(z, g):
+        return None, float("nan"), evals, None
+    return g, resid, evals, t
+
+
 def _ladder(z, params, opts):
     """Continuation in Im z from _CONTINUATION_START_IM down to Im z; the
     evaluations of rejected levels count in the returned total."""
@@ -480,16 +491,10 @@ def _ladder(z, params, opts):
         eta = eta if eta > target * (1.0 + 1e-12) else target
         z_next = complex(z.real, np.copysign(eta, z.imag))
         guess = g1 if z0 is None else _secant_guess(z_next, z1, g1, z0, g0)
-        capped = ratio > _LADDER_RATIO
-        try:
-            g, resid_n, evals, t_n = _iterate(z_next, guess, params, opts,
-                                              _LADDER_EVAL_CAP if capped else None)
-        except NonConvergenceError as exc:
-            if not capped:
-                raise
-            g, evals = None, exc.iterations
+        step = _trial if ratio > _LADDER_RATIO else _iterate
+        g, resid_n, evals, t_n = step(z_next, guess, params, opts)
         total += evals
-        if g is None or capped and _violates_signs(z_next, g):
+        if g is None:
             ratio = max(np.sqrt(ratio), _LADDER_RATIO)  # reject the level
             continue
         z0, g0, z1, g1, resid, t = z1, g1, z_next, g, resid_n, t_n
@@ -499,12 +504,13 @@ def _ladder(z, params, opts):
 
 
 def _solve_complex(z, params, opts, warm_start=None):
+    """A trial from the warm start, else (or when it is rejected) the
+    continuation ladder; the evaluations of both count."""
     spent = 0
     if warm_start is not None:
-        try:
-            return _iterate(z, warm_start, params, opts, _WARM_EVAL_CAP)
-        except NonConvergenceError as exc:
-            spent = exc.iterations  # fall back to a fresh continuation ladder
+        g, resid, spent, t = _trial(z, warm_start, params, opts)
+        if g is not None:
+            return g, resid, spent, t
     g, resid, total, t = _ladder(z, params, opts)
     return g, resid, spent + total, t
 
@@ -516,7 +522,7 @@ def _solve_real(z, params, opts, warm_start=None):
     x = float(z.real)
     g0 = initial_guess(x, params).real if warm_start is None else warm_start.real
     g, resid, total, t, _, _ = _real_newton(
-        x, g0, params, opts.tol, min(_CERTIFY_EVALS, opts.max_iter))
+        x, g0, params, opts.tol, min(_TRIAL_EVALS, opts.max_iter))
     if g is None:
         g, _, evals, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts)
         total += evals
@@ -544,7 +550,10 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
     """Solve the coupled fixed-point system at one complex point.
 
     Points with |Im z| < 1 are reached by the adaptive continuation ladder
-    from Re z + i unless a warm start is supplied, which is tried first;
+    from Re z + i. A warm start is tried first as a trial start: it gets
+    _TRIAL_EVALS evaluations and is rejected, and the ladder taken, when it
+    stalls or lands outside the admissible half-plane. The returned point
+    passes the half-plane sign and |g| bound checks, which run once.
     iterations counts every Psi evaluation, failed attempts included. Real z
     must lie outside the support (and away from 0). It is solved by Newton's
     method in real arithmetic, from the real part of the warm start or from
@@ -568,16 +577,7 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
         g, resid, evals, t = _solve_real(z, params, opts, warm_start)
     else:
         g, resid, evals, t = _solve_complex(z, params, opts, warm_start)
-        try:
-            _check_admissible(z, g, params)
-        except ConsistencyError:
-            if warm_start is None:
-                raise
-            # a warm start across a support edge can land on the conjugate
-            # branch; redo the point through the continuation ladder
-            g, resid, evals2, t = _solve_complex(z, params, opts, None)
-            evals += evals2
-            _check_admissible(z, g, params)
+        _check_admissible(z, g, params)
     return _finish(z, g, resid, evals, t, params)
 
 
@@ -587,13 +587,14 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     Point i+1 starts from the secant predictor
     g_i + (z_{i+1} - z_i) / (z_i - z_{i-1}) (g_i - g_{i-1}), scaled by the
     actual spacings so that non-uniform grids are followed too; the second
-    point starts from the first point's solution. The first point (and any
-    point where the warm start fails) goes through the continuation
-    ladder inside solve_g. A prediction on the wrong half-plane is replaced
-    by the previous solution. The predictor only moves the starting guess:
-    each point is certified by its own residual and half-plane signs.
-    Real grid points are rejected: evaluating on the axis requires an
-    explicit eta (see the spectrum module).
+    point starts from the first point's solution. The first point, and any
+    point whose warm start solve_g rejects (it stalls within _TRIAL_EVALS
+    evaluations or lands outside the admissible half-plane), goes through
+    the continuation ladder inside solve_g. A prediction on the wrong
+    half-plane is replaced by the previous solution. The predictor only
+    moves the starting guess: each point is certified by its own residual
+    and half-plane signs. Real grid points are rejected: evaluating on the
+    axis requires an explicit eta (see the spectrum module).
     """
     zs = [complex(zv) for zv in zs]
     if not zs:

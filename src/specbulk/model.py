@@ -7,6 +7,7 @@ ratios c0 = p/n and c_a = n_a/n drive everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -152,11 +153,11 @@ class ModelParams:
     def k(self) -> int:
         return len(self.class_sizes)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return int(sum(self.class_sizes))
 
-    @property
+    @cached_property
     def c0(self) -> float:
         return self.p / self.n
 

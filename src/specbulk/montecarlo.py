@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalSingularityError, ValidationError
+from .errors import ValidationError
 from .fixed_point import solve_g
 from .model import ModelParams, ModelSpec
 from .spectrum import DensityGrid
@@ -133,30 +133,6 @@ def zero_eigenvalue_count(sample: EnsembleSample) -> int:
     return int(np.sum(eigs < _ZERO_EIG_REL * max(top, 1.0)))
 
 
-def empirical_resolvents(sample: EnsembleSample, z):
-    """Q = (W^T W - z)^{-1} and Qt = (W W^T - z)^{-1}, residual-checked."""
-    z = complex(z)
-    w = sample.w
-    p, n = w.shape
-    if z.imag == 0.0:
-        gap = np.abs(sample.eigenvalues_wtw - z.real).min()
-        scale = max(sample.eigenvalues_wtw[-1], 1.0)
-        if z.real >= 0 and gap < 1e-8 * scale:
-            raise NumericalSingularityError(
-                f"z={z} sits on the sample spectrum; use a complex shift", z=z
-            )
-    wtw = w.T @ w
-    wwt = w @ w.T
-    q = np.linalg.inv(wtw - z * np.eye(n))
-    qt = np.linalg.inv(wwt - z * np.eye(p))
-    resid = np.abs((wtw - z * np.eye(n)) @ q - np.eye(n)).max()
-    if resid > 1e-8:
-        raise NumericalSingularityError(
-            f"resolvent solve at z={z} reached residual {resid:.3e}", z=z
-        )
-    return q, qt
-
-
 class SampleSpectral:
     """Spectral cache of one sample: evaluate resolvent statistics at any z.
 
@@ -200,13 +176,6 @@ class SampleSpectral:
     def trace_q(self, z) -> complex:
         f = self._f(z)
         return complex(f.sum() + (-1.0 / z) * (self.n - self.lam.size))
-
-    def trace_q_probe(self, z, probe: np.ndarray) -> complex:
-        """tr (D Q_z) for a general n x n probe D."""
-        v = self.vt  # (r, n)
-        core = np.einsum("mi,ij,mj->m", v, probe, v)
-        f = self._f(z)
-        return complex(f @ core + (-1.0 / z) * (np.trace(probe) - core.sum()))
 
     def bilinear_q(self, z, d1: np.ndarray, d2: np.ndarray) -> complex:
         """d1^T Q_z d2."""
@@ -278,14 +247,13 @@ def _eig_chunk(seeds):
     return [sample_w(_worker_params, s).eigenvalues_wtw for s in seeds]
 
 
-def convergence_report(params: ModelParams, z, trials: int, probes=None,
-                       vectors=None, seed: int = 0) -> McReport:
+def convergence_report(params: ModelParams, z, trials: int,
+                       seed: int = 0) -> McReport:
     """Per-trial trace and bilinear errors of Q against Qbar, Qt against Qtbar.
 
-    probes: list of (name, D) with D an n x n array, or None for the default
-    set {I, D_1..D_k}; the Qt side always uses {I, C_1..C_k}. vectors: list
-    of (name, d1, d2) unit-probe pairs, default first/last coordinates and
-    one fixed random unit pair.
+    The Q side takes the traces against {I, D_1..D_k} and the bilinear
+    forms on the first/last coordinate pair and one fixed random unit
+    pair; the Qt side takes the traces against {I, C_1..C_k}.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -298,30 +266,14 @@ def convergence_report(params: ModelParams, z, trials: int, probes=None,
     qtbar_trace = n * point.m_mu + (n - p) / z
 
     slices = params.class_slices()
-    if probes is None:
-        probes = [("I", None)] + [(f"D_{a + 1}", None) for a in range(k)]
-        probe_kinds = ["identity"] + [("class", a) for a in range(k)]
-    else:
-        probe_kinds = ["matrix"] * len(probes)
-    if vectors is None:
-        rng = np.random.default_rng(12345)
-        dr = rng.standard_normal(n)
-        dr /= np.linalg.norm(dr)
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        en = np.zeros(n)
-        en[-1] = 1.0
-        vectors = [("e1_en", e1, en), ("random_pair", dr, dr)]
-
-    # deterministic probe traces of Qbar
-    def qbar_probe_trace(kind, probe):
-        if kind == "identity":
-            return complex(n * (params.c @ q_bar))
-        if isinstance(kind, tuple):
-            a = kind[1]
-            return complex(params.class_sizes[a] * q_bar[a])
-        diag_sums = np.array([np.trace(probe[sl, sl]) for sl in slices])
-        return complex(diag_sums @ q_bar)
+    rng = np.random.default_rng(12345)
+    dr = rng.standard_normal(n)
+    dr /= np.linalg.norm(dr)
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    en = np.zeros(n)
+    en[-1] = 1.0
+    vectors = [("e1_en", e1, en), ("random_pair", dr, dr)]
 
     def qbar_bilinear(d1, d2):
         val = 0.0 + 0.0j
@@ -329,7 +281,9 @@ def convergence_report(params: ModelParams, z, trials: int, probes=None,
             val += q_bar[a] * (d1[sl] @ d2[sl])
         return val
 
-    trace_vals = {name: [] for name, _ in probes}
+    trace_vals = {"I": []}
+    for a in range(k):
+        trace_vals[f"D_{a + 1}"] = []
     bil_vals = {name: [] for name, _, _ in vectors}
     qt_vals = {"Qt_I": []}
     for a in range(k):
@@ -338,14 +292,10 @@ def convergence_report(params: ModelParams, z, trials: int, probes=None,
     for t in range(trials):
         sample = sample_w(params, trial_seed(seed, t))
         spec = SampleSpectral(sample, params)
-        for (name, probe), kind in zip(probes, probe_kinds):
-            if kind == "identity":
-                emp = spec.trace_q(z)
-            elif isinstance(kind, tuple):
-                emp = spec.trace_q_class(z, kind[1])
-            else:
-                emp = spec.trace_q_probe(z, probe)
-            trace_vals[name].append(abs(emp - qbar_probe_trace(kind, probe)) / n)
+        trace_vals["I"].append(abs(spec.trace_q(z) - n * (params.c @ q_bar)) / n)
+        for a in range(k):
+            det = params.class_sizes[a] * q_bar[a]  # tr D_a Qbar
+            trace_vals[f"D_{a + 1}"].append(abs(spec.trace_q_class(z, a) - det) / n)
         for name, d1, d2 in vectors:
             emp = spec.bilinear_q(z, d1, d2)
             bil_vals[name].append(abs(emp - qbar_bilinear(d1, d2)))
@@ -448,24 +398,22 @@ def histogram_report(params: ModelParams, trials: int, bins, grid: DensityGrid,
 
 
 def variance_scaling_report(spec: ModelSpec, z, trials: int, p_list,
-                            seed: int = 0, sampler=None) -> McReport:
+                            seed: int = 0) -> McReport:
     """Sample variance of (1/p) tr Qt C_a across dimensions p_list.
 
     The trace variance should fall like p^{-2}; consecutive doublings are
-    reported as ratios. A custom sampler(params, seed) may replace the
-    Gaussian draw (used to validate the zero-variance degenerate case).
+    reported as ratios.
     """
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
     z = complex(z)
-    draw = sampler or sample_w
     variances = {}
     metrics = []
     for p_target in p_list:
         params = spec.at_p(p_target)
         vals = np.empty((trials, params.k))
         for t in range(trials):
-            sample = draw(params, trial_seed(seed, t))
+            sample = sample_w(params, trial_seed(seed, t))
             sp = SampleSpectral(sample, params)
             for a in range(params.k):
                 vals[t, a] = sp.trace_qt_cov(z, a).real / params.p

@@ -5,7 +5,6 @@ entries at conjugate points) and as a standalone property-tested toolkit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -13,16 +12,6 @@ import numpy as np
 from .errors import ValidationError
 
 _CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class RadiusCertificate:
-    """Certified spectral radius with (when applicable) its left Perron vector."""
-
-    dim: int
-    rho: float
-    left_perron: np.ndarray | None
-    method: str  # "full_eigen" or "power_iteration"
 
 
 class CsRadiusCheck(NamedTuple):
@@ -93,20 +82,6 @@ def perron_left_vector(m, method: str = "full_eigen") -> np.ndarray:
     if total <= 0.0:
         raise ValidationError("Perron vector collapsed to zero after clamping")
     return v / total
-
-
-def radius_certificate(m, method: str = "full_eigen") -> RadiusCertificate:
-    """Spectral radius plus, for nonnegative input, a certified left Perron pair."""
-    m = np.asarray(m)
-    rho = spectral_radius(m)
-    left = None
-    if np.isrealobj(m) and not np.any(m < 0):
-        if method == "power_iteration":
-            rho_p, left = _power_left_radius(np.asarray(m, dtype=float))
-            rho = max(rho, float(rho_p))
-        else:
-            left = perron_left_vector(m, method=method)
-    return RadiusCertificate(dim=m.shape[0], rho=rho, left_perron=left, method=method)
 
 
 def check_cs_radius(a, b, c, slack: float = 1e-10) -> CsRadiusCheck:

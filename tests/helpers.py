@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import scipy.integrate
 
-from specbulk.fixed_point import DEFAULT_OPTIONS, solve_g
+from specbulk.errors import NumericalSingularityError
+from specbulk.fixed_point import DEFAULT_OPTIONS, _psi_eval, solve_g
 from specbulk.model import (
     CovarianceSpec,
     ModelParams,
@@ -12,6 +13,7 @@ from specbulk.model import (
     build_covariance,
     validate_model,
 )
+from specbulk.nonneg import perron_left_vector, spectral_radius
 
 # Three-class Toeplitz demo family: scales 1, 9, 17 with ratios 0, 0.2, 0.4
 # and class fractions 1/8, 5/8, 1/4 at aspect ratio c0 = 8.
@@ -62,6 +64,54 @@ def mixture_matrix(g, params):
     for b in range(params.k):
         m = m + (params.c[b] * g[b]) * params.covariances[b]
     return m
+
+
+def psi_step(g, z, params):
+    """One application of the fixed-point map Psi at the point z."""
+    return _psi_eval(np.asarray(g, dtype=complex), z, params)[0]
+
+
+def empirical_resolvents(sample, z):
+    """Q = (W^T W - z)^{-1} and Qt = (W W^T - z)^{-1} of one sample, as
+    dense inverses, residual-checked."""
+    z = complex(z)
+    w = sample.w
+    p, n = w.shape
+    if z.imag == 0.0:
+        gap = np.abs(sample.eigenvalues_wtw - z.real).min()
+        scale = max(sample.eigenvalues_wtw[-1], 1.0)
+        if z.real >= 0 and gap < 1e-8 * scale:
+            raise NumericalSingularityError(
+                f"z={z} sits on the sample spectrum; use a complex shift", z=z
+            )
+    wtw = w.T @ w
+    wwt = w @ w.T
+    q = np.linalg.inv(wtw - z * np.eye(n))
+    qt = np.linalg.inv(wwt - z * np.eye(p))
+    resid = np.abs((wtw - z * np.eye(n)) @ q - np.eye(n)).max()
+    if resid > 1e-8:
+        raise NumericalSingularityError(
+            f"resolvent solve at z={z} reached residual {resid:.3e}", z=z
+        )
+    return q, qt
+
+
+@dataclasses.dataclass(frozen=True)
+class RadiusCertificate:
+    """Spectral radius with, for nonnegative input, its left Perron vector."""
+
+    dim: int
+    rho: float
+    left_perron: np.ndarray | None
+
+
+def radius_certificate(m):
+    """Spectral radius plus, for nonnegative input, the left Perron vector."""
+    m = np.asarray(m)
+    left = None
+    if np.isrealobj(m) and not np.any(m < 0):
+        left = perron_left_vector(m)
+    return RadiusCertificate(dim=m.shape[0], rho=spectral_radius(m), left_perron=left)
 
 
 def mp_spec(p_base, n_base):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,24 @@ class TestSecondOrder:
         )
         assert np.abs(so.omega.imag).max() <= 1e-12
         assert so.omega.real.min() >= -1e-12
+
+    @pytest.mark.parametrize("eta, warns", [(1e-9, True), (1e-6, False)])
+    def test_ill_conditioned_warning(self, eta, warns):
+        # on the conjugate pair 1.5 +- i eta inside the bulk (0.17, 5.83),
+        # 1 - rho(Omega) is about 0.83 eta: within 1e-8 of 1 at eta = 1e-9,
+        # where R = (I - Omega)^{-1} Omega amplifies by about 1e9, and not
+        # at eta = 1e-6
+        params = mp_params(1, 2, p=16)
+        points = (solve_g(1.5 + 1j * eta, params, OPTS),
+                  solve_g(1.5 - 1j * eta, params, OPTS), params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if warns:
+                with pytest.warns(RuntimeWarning, match="R is ill-conditioned"):
+                    so = second_order(*points)
+            else:
+                so = second_order(*points)
+        assert 1.0 - so.spectral_radius_omega == pytest.approx(0.834 * eta, rel=1e-3)
 
     def test_scalar_response(self):
         params = mp_params(1, 1, p=8)

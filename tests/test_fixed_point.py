@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mixture_matrix, mp_params, mp_stieltjes, threeclass_params
+from helpers import mixture_matrix, mp_params, mp_stieltjes, psi_step, threeclass_params
 
 from specbulk import fixed_point
 from specbulk.errors import ConsistencyError, ValidationError
@@ -10,7 +10,6 @@ from specbulk.fixed_point import (
     _check_admissible,
     g_derivative,
     initial_guess,
-    psi_step,
     solve_g,
     solve_grid,
 )
@@ -144,8 +143,8 @@ class TestSolveG:
         ("threeclass", 2 + 1j, None, 0),
         # certified by the real-axis Newton: no projection, no re-trace
         ("threeclass", -1.0, None, 0),
-        # the capped warm attempt from across the gap fails and the point
-        # is redone through the ladder; both count
+        # the warm trial from across the gap stalls within its budget and
+        # the ladder solves the point cold; both count
         ("threeclass", 0.9 + 1e-6j, 2 + 1e-6j, 0),
         # the commuting fast path: the ladder next to the axis, the real
         # Newton at -1 and a warm start from across the bulk
@@ -168,6 +167,33 @@ class TestSolveG:
         monkeypatch.setattr(fixed_point, "_trace_terms", counted)
         point = solve_g(z, params, warm_start=warm)
         assert len(calls) == point.iterations + extra
+
+    @pytest.mark.parametrize("z", [1 + 0.5j, 0.3 + 0.01j, 2 + 1e-3j])
+    def test_wrong_branch_warm_start(self, z):
+        # the other root of z m^2 + (c0 z - c0 + 1) m + c0 = 0 is a fixed
+        # point of Psi with the wrong half-plane signs: the warm trial
+        # converges on it in one evaluation and is rejected, and the ladder
+        # solves the point as it does cold
+        params = mp_params(1, 2, p=16)
+        c0 = params.c0
+        ref = mp_stieltjes(z, c0)
+        other = -(c0 * z - c0 + 1.0) / z - ref  # the roots sum to -b/z
+        cold = solve_g(z, params)
+        point = solve_g(z, params, warm_start=[other / c0])
+        assert abs(point.m_mu - ref) <= 1e-10 * abs(ref)
+        assert point.iterations == cold.iterations + 1
+
+    def test_warm_start_across_gap(self):
+        # from 2 + 1e-6j in the gap (1.13, 4.23) into the lower component
+        # at 0.9: the warm trial stalls, and costs no more than its budget
+        # on top of the cold solve
+        params = threeclass_params(64)
+        z = 0.9 + 1e-6j
+        warm = solve_g(2 + 1e-6j, params).g
+        cold = solve_g(z, params)
+        point = solve_g(z, params, warm_start=warm)
+        assert np.abs(point.g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+        assert point.iterations <= fixed_point._TRIAL_EVALS + cold.iterations
 
     # reference g of three-class p=64 from the fixed halving ladder
     @pytest.mark.parametrize("z, g_ref", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import threeclass_params
+from helpers import radius_certificate
 
 from specbulk.equivalents import second_order
 from specbulk.errors import ValidationError
@@ -9,7 +9,6 @@ from specbulk.fixed_point import solve_g
 from specbulk.nonneg import (
     check_cs_radius,
     perron_left_vector,
-    radius_certificate,
     spectral_radius,
 )
 
