@@ -4,15 +4,15 @@
              [--seed N] [--workers N] [--z RE,IM ...]
 
 Configs are strict JSON documents with a version field; unknown keys are
-rejected. Exit codes: 0 success, 1 config error, 2 numerical error,
-3 simulation assertion failure.
+rejected. --workers N runs the Monte Carlo trials of simulate on N
+threads, with output identical to --workers 1. Exit codes: 0 success,
+1 config error, 2 numerical error, 3 simulation assertion failure.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -276,8 +276,10 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
 
 
 def cmd_equivalents(cfg, digest, out_dir, z_values):
-    if z_values and len(z_values) == 2:
+    if len(z_values) == 2:
         z1, z2 = z_values
+    elif z_values:
+        raise ConfigError(f"equivalents takes --z exactly twice, got {len(z_values)}")
     else:
         section = cfg.get("equivalents")
         if section is None:
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--z", action="append", default=[],
                         help="complex point RE,IM (repeatable)")
     return parser
@@ -351,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("SPECBULK_WORKERS", "1"))
     try:
         cfg, digest = load_config(args.config)
         z_values = [_parse_z(text) for text in args.z]
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
             return cmd_solve(cfg, digest, args.out, z_values)
         if args.command == "simulate":
             return cmd_simulate(cfg, digest, args.out, seed=args.seed,
-                                workers=workers)
+                                workers=args.workers)
         return cmd_equivalents(cfg, digest, args.out, z_values)
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,13 +2,15 @@
 
 Sampling is counter-based: column j of a draw with seed s is generated
 from an independent Philox stream keyed by (s, j), so trials parallelize
-and reorder without changing a single bit of the output. Reports reduce
-per-trial scalars in trial order, making them reproducible regardless of
-scheduling.
+and reorder without changing a single bit of the output. At workers > 1
+the trials of a report run on threads of the calling process; the root
+GEMM and eigvalsh of a trial run in numpy and LAPACK, which release the
+GIL. Reports reduce per-trial scalars in trial order, making them
+reproducible regardless of scheduling.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,28 +225,11 @@ class SampleSpectral:
 
 def _pooled_eigenvalues(params, trials, seed, workers=1):
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    if workers > 1:
-        _sqrt_covs(params)  # built once here; forked workers inherit it
-        chunks = np.array_split(np.asarray(seeds, dtype=np.uint64), workers * 2)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_params,
-                                 initargs=(params,)) as ex:
-            parts = list(ex.map(_eig_chunk, [c.tolist() for c in chunks]))
-        return [e for part in parts for e in part]
-    return [sample_w(params, s).eigenvalues_wtw for s in seeds]
-
-
-# The model of a pool worker process, set once by the pool's initializer so
-# that chunks carry only their seeds.
-_worker_params = None
-
-
-def _set_worker_params(params):
-    global _worker_params
-    _worker_params = params
-
-
-def _eig_chunk(seeds):
-    return [sample_w(_worker_params, s).eigenvalues_wtw for s in seeds]
+    if workers <= 1:
+        return [sample_w(params, s).eigenvalues_wtw for s in seeds]
+    _sqrt_covs(params)  # built once, before the threads share it
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(lambda s: sample_w(params, s).eigenvalues_wtw, seeds))
 
 
 def convergence_report(params: ModelParams, z, trials: int,
@@ -317,10 +302,10 @@ def convergence_report(params: ModelParams, z, trials: int,
     return McReport(trials=trials, seed=seed, metrics=tuple(metrics))
 
 
-def _distance_to_support(eigs, support, include_zero=True):
-    """Distance of each eigenvalue to the union of intervals (and {0})."""
+def _distance_to_support(eigs, support):
+    """Distance of each eigenvalue to the union of intervals and {0}."""
     eigs = np.asarray(eigs)
-    dist = np.abs(eigs) if include_zero else np.full_like(eigs, np.inf)
+    dist = np.abs(eigs)
     for lo, hi in support:
         d = np.where(eigs < lo, lo - eigs, np.where(eigs > hi, eigs - hi, 0.0))
         dist = np.minimum(dist, d)

@@ -34,7 +34,7 @@ def spectral_radius(m) -> float:
 
 
 def _power_left_radius(m, max_iter=20_000, tol=1e-13):
-    """Left power iteration on a nonnegative matrix; cross-check method."""
+    """Left power iteration on a nonnegative matrix; the degenerate-rho fallback."""
     n = m.shape[0]
     v = np.full(n, 1.0 / n)
     rho = 0.0
@@ -51,7 +51,7 @@ def _power_left_radius(m, max_iter=20_000, tol=1e-13):
     return float(rho), v
 
 
-def perron_left_vector(m, method: str = "full_eigen") -> np.ndarray:
+def perron_left_vector(m) -> np.ndarray:
     """Left eigenvector for the spectral radius of an entrywise-nonnegative matrix.
 
     Returned nonnegative and l1-normalized. Degenerate ties are resolved by
@@ -63,11 +63,6 @@ def perron_left_vector(m, method: str = "full_eigen") -> np.ndarray:
     if np.any(m < 0):
         i, j = np.unravel_index(np.argmin(m), m.shape)
         raise ValidationError(f"matrix has a negative entry at ({i}, {j}): {m[i, j]}")
-    if method == "power_iteration":
-        _, v = _power_left_radius(m)
-        return v
-    if method != "full_eigen":
-        raise ValidationError(f"unknown method {method!r}")
     vals, vecs = np.linalg.eig(m.T)
     rho = np.abs(vals).max()
     idx = int(np.argmin(np.abs(vals - rho)))

@@ -138,11 +138,6 @@ class TestSimulateCommand:
                      "--workers", "2"]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
-    def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECBULK_WORKERS", "2")
-        cfg = _write_config(tmp_path, self._config(trials=4))
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-
     def test_failed_assertion_exit_code(self, tmp_path, capsys):
         # an unattainable histogram threshold must trip exit code 3
         # (outlier distances can be exactly zero, so they make a poor trap)
@@ -192,6 +187,22 @@ class TestEquivalentsCommand:
         cfg = _write_config(tmp_path, {"version": 1, "model": MP_MODEL})
         assert main(["equivalents", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("points", [["0,3"], ["0,3", "0,-3", "1,1"]],
+                             ids=["one", "three"])
+    def test_z_count_other_than_two_rejected(self, tmp_path, capsys, points):
+        # the config's section must not stand in for a miscounted --z
+        cfg = _write_config(
+            tmp_path,
+            {"version": 1, "model": MP_MODEL,
+             "equivalents": {"z1": [0.0, 2.0], "z2": [0.0, -2.0]}},
+        )
+        argv = ["equivalents", "--config", cfg, "--out", str(tmp_path / "o")]
+        for text in points:
+            argv += ["--z", text]
+        assert main(argv) == 1
+        assert f"got {len(points)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigValidation:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from specbulk.model import CovarianceSpec, ModelParams, ModelSpec, validate_mode
 from specbulk.montecarlo import (
     EnsembleSample,
     SampleSpectral,
+    _pooled_eigenvalues,
     convergence_report,
     histogram_report,
     norm_bound_report,
@@ -282,6 +285,35 @@ class TestNormBound:
         rep = norm_bound_report(params, 5, seed=6)
         assert rep.metric("max_norm_wwt").passed is None
         assert rep.passed  # nothing checked, nothing failed
+
+
+def _diagonal_params_256():
+    covs = (np.diag(np.repeat([0.5, 3.0], 128)), np.diag(np.linspace(1.0, 4.0, 256)))
+    params = validate_model(ModelParams(p=256, class_sizes=(128, 384), covariances=covs))
+    assert params.spectra is not None and params.basis is None  # 1-D roots
+    return params
+
+
+class TestPooledTrials:
+    # sizes at which BLAS runs its GEMMs threaded; each workers value gets a
+    # fresh model, so the pooled path also builds the covariance roots itself,
+    # and a short switch interval makes the threads interleave often
+    @pytest.mark.parametrize("make", [lambda: threeclass_params(256), _diagonal_params_256],
+                             ids=["threeclass_blocks", "diagonal"])
+    def test_bit_identical_across_workers(self, make):
+        serial = _pooled_eigenvalues(make(), 20, 17, 1)
+        report = norm_bound_report(make(), 20, seed=17).to_dict()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 3):
+                pooled = _pooled_eigenvalues(make(), 20, 17, workers)
+                assert len(pooled) == len(serial)
+                assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+                assert norm_bound_report(make(), 20, seed=17,
+                                         workers=workers).to_dict() == report
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReportStructure:

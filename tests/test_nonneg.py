@@ -7,6 +7,7 @@ from specbulk.equivalents import second_order
 from specbulk.errors import ValidationError
 from specbulk.fixed_point import solve_g
 from specbulk.nonneg import (
+    _power_left_radius,
     check_cs_radius,
     perron_left_vector,
     spectral_radius,
@@ -56,8 +57,8 @@ class TestPerron:
         rng = np.random.default_rng(1)
         for _ in range(20):
             m = rng.uniform(0.0, 1.0, size=(5, 5))
-            v_full = perron_left_vector(m, method="full_eigen")
-            v_pow = perron_left_vector(m, method="power_iteration")
+            v_full = perron_left_vector(m)
+            v_pow = _power_left_radius(m)[1]
             np.testing.assert_allclose(v_full, v_pow, atol=1e-8)
 
     def test_certificate_residual(self):
