@@ -2,7 +2,9 @@
 
 Sampling is counter-based: column j of a draw with seed s is generated
 from an independent Philox stream keyed by (s, j), so trials parallelize
-and reorder without changing a single bit of the output. At workers > 1
+and reorder without changing a single bit of the output. A draw builds
+one generator and rekeys it before each column: a Philox stream is fixed
+by its key and counter alone (Salmon et al., SC 2011). At workers > 1
 the trials of a report run on threads of the calling process; the root
 GEMM and eigvalsh of a trial run in numpy and LAPACK, which release the
 GIL. Reports reduce per-trial scalars in trial order, making them
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fixed_point import solve_g
+from .fixed_point import _dense, solve_g
 from .model import ModelParams, ModelSpec
 from .spectrum import DensityGrid
 
@@ -81,21 +83,27 @@ def _sqrt_covs(params: ModelParams):
     A model with joint spectra takes U diag(sqrt lambda_a) U^T from its
     stored basis, with no eigh; without a basis (diagonal covariances) a
     root is the 1-D array sqrt(lambda_a), which sample_w applies as a row
-    scaling.
+    scaling. Otherwise the root of each diagonal block of
+    `ModelParams.blocks` comes from its eigh, and the block roots expand
+    to the p x p root: two eigh of ceil(p/2) on a reflection-symmetric
+    model, the one eigh of C_a on any other.
     """
     cache = getattr(params, "_sqrt_covs_cache", None)
     if cache is None:
         if params.spectra is None:
-            pairs = [np.linalg.eigh(cov) for cov in params.covariances]
+            roots = [_dense(np.stack([_root(*np.linalg.eigh(b)) for b in blocks]), params)
+                     for blocks in params.blocks]
         else:
-            pairs = [(lam, params.basis) for lam in params.spectra]
-        roots = []
-        for w, v in pairs:
-            root = np.sqrt(np.clip(w, 0.0, None))
-            roots.append(root if v is None else (v * root) @ v.T)
+            roots = [_root(lam, params.basis) for lam in params.spectra]
         cache = tuple(roots)
         object.__setattr__(params, "_sqrt_covs_cache", cache)
     return cache
+
+
+def _root(w, v):
+    """V diag(sqrt w) V^T, or sqrt w itself when v is None."""
+    root = np.sqrt(np.clip(w, 0.0, None))
+    return root if v is None else (v * root) @ v.T
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -107,16 +115,21 @@ def sample_w(params: ModelParams, seed: int) -> EnsembleSample:
     """Draw W = p^{-1/2} [C_1^{1/2} Z_1, ..., C_k^{1/2} Z_k].
 
     Column j uses the Philox stream keyed by (seed, j): byte-identical
-    output for a given seed, independent of evaluation order.
+    output for a given seed, independent of evaluation order. One Philox
+    serves the draw; before column j its state is set to that of a fresh
+    Philox(key=(seed, j)): counter 0, key (seed mod 2^64, j), an empty
+    buffer (buffer_pos 4) and no cached 32-bit half.
     """
     p, n = params.p, params.n
-    key_hi = np.uint64(int(seed) % (1 << 64))
     roots = _sqrt_covs(params)
+    bits = np.random.Philox(key=np.array([int(seed) % (1 << 64), 0], dtype=np.uint64))
+    fresh = bits.state  # copies: counter 0, empty buffer, key (seed, 0)
+    key = fresh["state"]["key"]
+    gen = np.random.Generator(bits)
     z = np.empty((p, n))
     for j in range(n):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([key_hi, np.uint64(j)], dtype=np.uint64))
-        )
+        key[1] = j
+        bits.state = fresh
         z[:, j] = gen.standard_normal(p)
     blocks = []
     for root, sl in zip(roots, params.class_slices()):

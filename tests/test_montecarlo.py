@@ -3,16 +3,29 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import empirical_resolvents, mp_params, mp_spec, threeclass_params
+from helpers import (
+    empirical_resolvents,
+    mp_params,
+    mp_spec,
+    threeclass_odd_params,
+    threeclass_params,
+)
 
 from specbulk.equivalents import first_order
 from specbulk.errors import NumericalSingularityError, ValidationError
 from specbulk.fixed_point import solve_g
-from specbulk.model import CovarianceSpec, ModelParams, ModelSpec, validate_model
+from specbulk.model import (
+    CovarianceSpec,
+    ModelParams,
+    ModelSpec,
+    build_covariance,
+    validate_model,
+)
 from specbulk.montecarlo import (
     EnsembleSample,
     SampleSpectral,
     _pooled_eigenvalues,
+    _sqrt_covs,
     convergence_report,
     histogram_report,
     norm_bound_report,
@@ -41,17 +54,33 @@ class TestSampling:
         assert np.array_equal(s1.w, s2.w)
         assert np.array_equal(s1.eigenvalues_wtw, s2.eigenvalues_wtw)
 
-    def test_identity_draw_is_scaled_philox_normals(self):
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("p", [16, 17])
+    def test_identity_draw_is_scaled_philox_normals(self, p, seed):
         # an identity covariance needs no root: W is Z / sqrt(p) bit for
-        # bit, with column j of Z drawn from the Philox stream keyed by
-        # (seed, j)
-        params = mp_params(1, 2, p=16)
-        seed = 2**63 + 5
+        # bit, with column j of Z drawn from a fresh Philox stream keyed by
+        # (seed, j); at odd p a column leaves its last Philox block part
+        # used, so the next column shows whether the rekeyed state is fresh
+        params = mp_params(1, 2, p=p)
         z = np.empty((params.p, params.n))
         for j in range(params.n):
             key = np.array([seed, j], dtype=np.uint64)
             z[:, j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(params.p)
         assert np.array_equal(sample_w(params, seed).w, z / np.sqrt(params.p))
+
+    def test_one_philox_per_draw(self, monkeypatch):
+        # one generator serves every column of a draw
+        params = threeclass_params(64)
+        calls = []
+        inner = np.random.Philox
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        sample_w(params, 3)
+        assert len(calls) == 1
 
     def test_seeds_differ(self, two_class_small):
         assert not np.array_equal(
@@ -104,6 +133,36 @@ class TestSampling:
         s = sample_w(two_class_small, 3)
         assert (np.diff(s.eigenvalues_wtw) >= 0).all()
         assert (s.eigenvalues_wtw >= 0).all()
+
+
+def _dense_root(cov):
+    w, v = np.linalg.eigh(cov)
+    return (v * np.sqrt(w)) @ v.T
+
+
+class TestCovarianceRoots:
+    @pytest.mark.parametrize("make", [lambda: threeclass_params(64), threeclass_odd_params],
+                             ids=["threeclass_even", "threeclass_odd"])
+    def test_roots_from_reflection_blocks(self, make):
+        params = make()
+        assert params.blocks.shape[1] == 2
+        for cov, root in zip(params.covariances, _sqrt_covs(params)):
+            scale = np.abs(cov).max()
+            assert np.abs(root - root.T).max() <= 1e-14 * scale
+            assert np.abs(root @ root - cov).max() <= 1e-13 * scale
+            dense = _dense_root(cov)
+            assert np.abs(root - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("p", [64, 65])
+    def test_one_block_root_is_dense_root(self, p):
+        # an increasing diagonal does not commute with the reversal: the one
+        # block is C_a itself, and its root is the dense one bit for bit
+        covs = (np.diag(np.linspace(0.5, 2.0, p)),
+                build_covariance(CovarianceSpec("toeplitz", scale=1.0, rho=0.3), p))
+        params = validate_model(ModelParams(p=p, class_sizes=(16, 48), covariances=covs))
+        assert params.blocks.shape == (2, 1, p, p)
+        for cov, root in zip(params.covariances, _sqrt_covs(params)):
+            assert np.array_equal(root, _dense_root(cov))
 
 
 class TestEmpiricalResolvents:
