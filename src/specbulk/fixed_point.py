@@ -41,8 +41,8 @@ m diagonal blocks in a fixed orthogonal basis (`ModelParams.blocks`):
 two blocks of ceil(p/2) when every C_a commutes with the reversal
 i -> p-1-i, as symmetric Toeplitz matrices do, else the one p x p block
 C_a. M and M^{-1} are then (m, b, b) stacks in the same basis, so an
-inversion costs m inverses of size b. `_pair_traces`, `_q_tilde`,
-`_log_det_mixture` and `_dense` take either form.
+inversion costs m inverses of size b. `_pair_traces`, `_q_tilde` and
+`_log_det_mixture` take either form, and `model._dense` expands it.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ from .errors import (
     SpecbulkError,
     ValidationError,
 )
-from .model import ModelParams
+from .model import ModelParams, _dense
 from .nonneg import spectral_radius
 
 # Residual denominators are guarded by this floor to avoid 0/0.
@@ -246,36 +246,6 @@ def _q_tilde(g, z, params: ModelParams):
         prod.reshape(len(prod), -1)[:, :: prod.shape[-1] + 1] -= 1.0
         residual = np.abs(prod).max()
     return t, -minv / z, residual
-
-
-def _dense(op, params: ModelParams) -> np.ndarray:
-    """The p x p matrix of an operator in the kernels' form.
-
-    A 1-D op is U diag(op) U^T (diag(op) when the model has no basis). A
-    one-block stack is op[0]. A two-block stack (E, O) in the even/odd
-    basis of the reversal J expands, with h = p // 2, S = (E11 + O) / 2 and
-    D = (E11 - O) / 2 on the leading h indices, to the top rows [S, D J]
-    (plus row and column h from E / sqrt 2 and E_hh when p is odd); J X J
-    = X gives the bottom rows.
-    """
-    if op.ndim == 1:
-        u = params.basis
-        return np.diag(op) if u is None else (u * op) @ u.T
-    if len(op) == 1:
-        return op[0]
-    p = params.p
-    h = p // 2
-    even, odd = op[0], op[1, :h, :h]
-    out = np.empty((p, p), dtype=op.dtype)
-    out[:h, :h] = 0.5 * (even[:h, :h] + odd)
-    out[:h, ::-1][:, :h] = 0.5 * (even[:h, :h] - odd)
-    if p % 2:
-        out[:h, h] = even[:h, h] / np.sqrt(2.0)
-        out[h, :h] = even[h, :h] / np.sqrt(2.0)
-        out[h, h + 1:] = out[h, h - 1::-1]
-        out[h, h] = even[h, h]
-    out[p - h:] = out[h - 1::-1, ::-1]
-    return out
 
 
 def _log_det_mixture(g, params: ModelParams) -> float:

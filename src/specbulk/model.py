@@ -16,10 +16,12 @@ from .errors import ValidationError
 # Numerical tolerances for accepting covariance input.
 PSD_TOL = 1e-10
 SYM_TOL = 1e-12
-# Relative size, against C_max^2 (probe) or C_max (rotated covariances,
+# Relative size, against s^2 (probe) or s (rotated covariances,
 # C_a - J C_a J), below which commutators and off-diagonal entries count as
 # zero. The traces taken in the joint eigenbasis or on diagonal blocks err
-# only to second order in the off-diagonal part left out.
+# only to second order in the off-diagonal part left out. Detection runs
+# before any eigenvalue is known, so s is the largest entry |C_a[i, j]|, at
+# most the spectral norm C_max: the tests can only be stricter than at C_max.
 COMMUTE_TOL = 1e-9
 
 _COV_KINDS = ("identity", "scaled_identity", "toeplitz", "diagonal", "dense")
@@ -49,8 +51,8 @@ class CovarianceSpec:
         if self.kind == "diagonal":
             if self.values is None or len(self.values) == 0:
                 raise ValidationError("diagonal covariance needs a values list")
-            if any(v < 0 for v in self.values):
-                raise ValidationError("diagonal covariance values must be >= 0")
+            if not all(np.isfinite(v) and v >= 0 for v in self.values):
+                raise ValidationError("diagonal covariance values must be finite and >= 0")
         if self.kind == "dense" and not self.path:
             raise ValidationError("dense covariance needs a file path")
 
@@ -104,18 +106,10 @@ def build_covariance(spec: CovarianceSpec, p: int) -> np.ndarray:
                 f"diagonal covariance has {len(spec.values)} values, expected p={p}"
             )
         return np.diag(np.asarray(spec.values, dtype=float))
-    # dense file
+    # dense file; validate_model checks it as it checks every covariance
     mat = load_dense_covariance(spec.path)
     if mat.shape != (p, p):
         raise ValidationError(f"{spec.path}: matrix is {mat.shape}, expected ({p}, {p})")
-    asym = np.abs(mat - mat.T).max()
-    if asym > SYM_TOL * (1.0 + np.abs(mat).max()):
-        raise ValidationError(f"{spec.path}: matrix not symmetric (max asymmetry {asym:.3e})")
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] < -PSD_TOL:
-        raise ValidationError(
-            f"{spec.path}: matrix not PSD, most negative eigenvalue {eigs[0]:.6e}"
-        )
     return mat
 
 
@@ -124,11 +118,12 @@ class ModelParams:
     """The ensemble (p, n_1..n_k, C_1..C_k) with derived ratios.
 
     Construct with raw fields, then pass through validate_model, which
-    certifies PSD-ness, symmetrizes, fills c_max and the class fractions c
+    symmetrizes, stores the covariances in one of the forms below, certifies
+    PSD-ness, fills eigenvalues, c_max and the class fractions c
     (c_a = n_a / n) and freezes the arrays. Instances are immutable after
     validation and safe to share.
 
-    When the covariances commute, validation also fills spectra, the k x p
+    When the covariances commute, validation fills spectra, the k x p
     joint eigenvalues (row a holds the eigenvalues of C_a), and basis, the
     orthogonal p x p matrix U with U^T C_a U = diag(spectra[a]); basis
     stays None when every C_a is diagonal. Otherwise both stay None and
@@ -137,6 +132,10 @@ class ModelParams:
     C_a commutes with the reversal i -> p-1-i (the even and odd vectors;
     the odd block of an odd p is zero-padded at its last index), else
     m = 1, b = p and covariances[a] is the view blocks[a, 0].
+
+    eigenvalues (k x p) holds those of each C_a as read from that form:
+    spectra itself, or those of the blocks without the pad. c_max is its
+    largest entry.
     """
 
     p: int
@@ -147,6 +146,7 @@ class ModelParams:
     spectra: np.ndarray | None = field(default=None, repr=False)
     basis: np.ndarray | None = field(default=None, repr=False)
     blocks: np.ndarray | None = field(default=None, repr=False)
+    eigenvalues: np.ndarray | None = field(default=None, repr=False)
     c: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -191,65 +191,61 @@ def validate_model(params: ModelParams) -> ModelParams:
         )
 
     covs = []
-    c_max = 0.0
     for a, cov in enumerate(params.covariances):
         mat = np.asarray(cov, dtype=float)
         if mat.shape != (p, p):
             raise ValidationError(
                 f"covariance {a} has shape {mat.shape}, expected ({p}, {p})"
             )
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"covariance {a} has non-finite entries")
         asym = np.abs(mat - mat.T).max()
         if asym > SYM_TOL * (1.0 + np.abs(mat).max()):
             raise ValidationError(
                 f"covariance {a} not symmetric (max asymmetry {asym:.3e})"
             )
-        mat = 0.5 * (mat + mat.T)
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -PSD_TOL:
-            raise ValidationError(
-                f"covariance {a} not PSD, most negative eigenvalue {eigs[0]:.6e}"
-            )
-        if eigs[0] < 0.0:
-            # within tolerance: clamp the offending directions to exactly zero
-            w, v = np.linalg.eigh(mat)
-            mat = (v * np.clip(w, 0.0, None)) @ v.T
-            mat = 0.5 * (mat + mat.T)
-        if not np.isfinite(mat).all():
-            raise ValidationError(f"covariance {a} has non-finite entries")
-        c_max = max(c_max, float(np.abs(eigs).max()))
-        mat.setflags(write=False)
-        covs.append(mat)
+        covs.append(0.5 * (mat + mat.T))
 
-    spectra, basis = _joint_spectra(covs, c_max)
-    blocks = None if spectra is not None else _class_blocks(covs, c_max)
+    scale = max(float(np.abs(mat).max()) for mat in covs)  # at most C_max
+    spectra, basis = _joint_spectra(covs, scale)
+    blocks = None if spectra is not None else _class_blocks(covs, scale)
+    # the sizes of the blocks without the pad of an odd p
+    dims = () if blocks is None else (p,) if blocks.shape[1] == 1 else (p - p // 2, p // 2)
+    eigs = spectra if blocks is None else np.concatenate(
+        [np.linalg.eigvalsh(blocks[:, j, :d, :d]) for j, d in enumerate(dims)], axis=1)
+    for a in np.flatnonzero(eigs.min(axis=1) < 0.0):
+        if eigs[a].min() < -PSD_TOL:
+            raise ValidationError(
+                f"covariance {a} not PSD, most negative eigenvalue {eigs[a].min():.6e}"
+            )
+        # within tolerance: clamp the offending directions to exactly zero
+        np.clip(eigs[a], 0.0, None, out=eigs[a])
+        for j, d in enumerate(dims):
+            w, v = np.linalg.eigh(blocks[a, j, :d, :d])
+            mat = (v * np.clip(w, 0.0, None)) @ v.T
+            blocks[a, j, :d, :d] = 0.5 * (mat + mat.T)
+        stored = eigs[a] if blocks is None else blocks[a]
+        mat = _dense(stored, replace(params, p=p, basis=basis))
+        covs[a] = 0.5 * (mat + mat.T)
     c = np.asarray(sizes, dtype=float) / sum(sizes)
-    for arr in (spectra, basis, blocks, c):
-        if arr is not None:
-            arr.setflags(write=False)
     if blocks is not None and blocks.shape[1] == 1:
         covs = list(blocks[:, 0])  # read-only views: one copy of the matrices
-    return replace(
-        params,
-        p=p,
-        class_sizes=sizes,
-        covariances=tuple(covs),
-        c_max=c_max,
-        validated=True,
-        spectra=spectra,
-        basis=basis,
-        blocks=blocks,
-        c=c,
-    )
+    for arr in (*covs, spectra, basis, blocks, eigs, c):
+        if arr is not None:
+            arr.setflags(write=False)
+    return replace(params, p=p, class_sizes=sizes, covariances=tuple(covs),
+                   c_max=float(eigs.max()), validated=True, spectra=spectra,
+                   basis=basis, blocks=blocks, eigenvalues=eigs, c=c)
 
 
-def _joint_spectra(covs, c_max: float):
+def _joint_spectra(covs, scale: float):
     """(spectra, basis) of commuting symmetric covariances, or (None, None).
 
     Diagonal covariances give their diagonals and no basis. Otherwise a
     probe compares C_a C_b v with C_b C_a v for one fixed vector v, at the
     cost of k^2 mat-vecs; only when every pair passes is U taken from eigh
     of the generic combination sum_a sqrt(a + 1) C_a, and kept when each
-    U^T C_a U is diagonal to COMMUTE_TOL C_max. With k = 1 the eigh of C_1
+    U^T C_a U is diagonal to COMMUTE_TOL * scale. With k = 1 the eigh of C_1
     is the decomposition itself.
     """
     if all(np.count_nonzero(c) == np.count_nonzero(np.diag(c)) for c in covs):
@@ -259,7 +255,7 @@ def _joint_spectra(covs, c_max: float):
         return w[None, :], u
     v = 1.0 / np.arange(1.0, covs[0].shape[0] + 1.0)  # fixed, with no symmetry
     cv = [c @ v for c in covs]
-    bound = COMMUTE_TOL * c_max**2 * np.linalg.norm(v)
+    bound = COMMUTE_TOL * scale**2 * np.linalg.norm(v)
     for a in range(len(covs)):
         for b in range(a + 1, len(covs)):
             if np.linalg.norm(covs[a] @ cv[b] - covs[b] @ cv[a]) > bound:
@@ -268,16 +264,16 @@ def _joint_spectra(covs, c_max: float):
     rotated = [u.T @ c @ u for c in covs]
     spectra = np.array([np.diag(r) for r in rotated])
     off = max(np.abs(r - np.diag(np.diag(r))).max() for r in rotated)
-    if off > COMMUTE_TOL * c_max:
+    if off > COMMUTE_TOL * scale:
         return None, None
     return spectra, u
 
 
-def _class_blocks(covs, c_max: float) -> np.ndarray:
+def _class_blocks(covs, scale: float) -> np.ndarray:
     """The covariances as one (k, m, b, b) array of diagonal blocks.
 
     When every C_a commutes with the reversal J (i -> p-1-i) to
-    COMMUTE_TOL C_max, as every symmetric Toeplitz matrix does, the even
+    COMMUTE_TOL * scale, as every symmetric Toeplitz matrix does, the even
     vectors (e_i + e_{p-1-i})/sqrt 2 (and e_h for odd p = 2h + 1) and the
     odd vectors (e_i - e_{p-1-i})/sqrt 2 split each C_a into two blocks
     (Cantoni & Butler, Linear Algebra Appl. 1976). With S = (C_a + J C_a J)/2
@@ -290,7 +286,7 @@ def _class_blocks(covs, c_max: float) -> np.ndarray:
     h, b = p // 2, (p + 1) // 2
     # the leading rows of J C_a J; C_a - J C_a J vanishes where they match C_a
     mirrored = [c[::-1, ::-1][:b] for c in covs]
-    if any(np.abs(c[:b] - r).max() > COMMUTE_TOL * c_max
+    if any(np.abs(c[:b] - r).max() > COMMUTE_TOL * scale
            for c, r in zip(covs, mirrored)):
         return np.stack(covs)[:, None]
     blocks = np.zeros((len(covs), 2, b, b))
@@ -303,6 +299,37 @@ def _class_blocks(covs, c_max: float) -> np.ndarray:
         blocks[:, 0, h, :] /= np.sqrt(2.0)
         blocks[:, 0, :, h] /= np.sqrt(2.0)
     return blocks
+
+
+def _dense(op, params: ModelParams) -> np.ndarray:
+    """The p x p matrix of an operator in the model's form, the inverse of
+    `_joint_spectra` and `_class_blocks`.
+
+    A 1-D op is U diag(op) U^T (diag(op) when the model has no basis). A
+    one-block stack is op[0]. A two-block stack (E, O) in the even/odd
+    basis of the reversal J expands, with h = p // 2, S = (E11 + O) / 2 and
+    D = (E11 - O) / 2 on the leading h indices, to the top rows [S, D J]
+    (plus row and column h from E / sqrt 2 and E_hh when p is odd); J X J
+    = X gives the bottom rows.
+    """
+    if op.ndim == 1:
+        u = params.basis
+        return np.diag(op) if u is None else (u * op) @ u.T
+    if len(op) == 1:
+        return op[0]
+    p = params.p
+    h = p // 2
+    even, odd = op[0], op[1, :h, :h]
+    out = np.empty((p, p), dtype=op.dtype)
+    out[:h, :h] = 0.5 * (even[:h, :h] + odd)
+    out[:h, ::-1][:, :h] = 0.5 * (even[:h, :h] - odd)
+    if p % 2:
+        out[:h, h] = even[:h, h] / np.sqrt(2.0)
+        out[h, :h] = even[h, :h] / np.sqrt(2.0)
+        out[h, h + 1:] = out[h, h - 1::-1]
+        out[h, h] = even[h, h]
+    out[p - h:] = out[h - 1::-1, ::-1]
+    return out
 
 
 @dataclass(frozen=True)

@@ -83,14 +83,23 @@ def atom_at_zero(params: ModelParams) -> float:
 
     the minimum taken over all subsets S of the classes. The empty S gives
     n; with every C_a nonsingular the full S gives p, so the atom is
-    max(0, 1 - c0).
+    max(0, 1 - c0). Each rank is read in the stored form, with no p x p
+    eigensolve: p when S holds a class of full rank (by the validation
+    eigenvalues), else the count of the summed joint spectra above the
+    tolerance, or the sum of the ranks of the summed diagonal blocks.
     """
     tol = 1e-10 * (1.0 + params.c_max)
+    full = (np.abs(params.eigenvalues) > tol).all(axis=1)
     best = params.n
     for mask in range(1, 2**params.k):
         inside = [a for a in range(params.k) if mask >> a & 1]
-        rank = np.linalg.matrix_rank(
-            sum(params.covariances[a] for a in inside), tol=tol, hermitian=True)
+        if full[inside].any():
+            rank = params.p
+        elif params.spectra is not None:
+            rank = np.count_nonzero(np.abs(sum(params.spectra[a] for a in inside)) > tol)
+        else:
+            rank = np.linalg.matrix_rank(sum(params.blocks[a] for a in inside),
+                                         tol=tol, hermitian=True).sum()
         outside = params.n - sum(params.class_sizes[a] for a in inside)
         best = min(best, outside + int(rank))
     return 1.0 - best / params.n
@@ -98,19 +107,8 @@ def atom_at_zero(params: ModelParams) -> float:
 
 def _runs(mask) -> list[tuple[int, int]]:
     """Maximal runs of True as (first, last) index pairs."""
-    out = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            out.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return out
+    flips = np.flatnonzero(np.diff(np.r_[False, mask, False]))
+    return list(zip(flips[::2], flips[1::2] - 1))
 
 
 def support_detect(grid: DensityGrid):

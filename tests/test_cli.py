@@ -228,6 +228,19 @@ class TestConfigValidation:
         assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "sparse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_diagonal(self, tmp_path, capsys, bad):
+        cfg = _write_config(
+            tmp_path,
+            {"version": 1,
+             "model": {"p": 4, "classes": [
+                 {"n": 8, "covariance": {"kind": "diagonal",
+                                         "values": [1.0, bad, 1.0, 1.0]}}]},
+             "solve": {"z": [[0.0, 2.0]]}},
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_shipped_configs_parse(self):
         from pathlib import Path
 

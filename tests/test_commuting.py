@@ -12,15 +12,15 @@ import pytest
 from helpers import dense_reference, threeclass_odd_params, threeclass_params
 
 from specbulk.equivalents import first_order, log_det_functional, second_order
-from specbulk.fixed_point import (
-    SolverOptions,
+from specbulk.fixed_point import SolverOptions, _trace_terms, g_derivative, solve_g
+from specbulk.model import (
+    CovarianceSpec,
+    ModelParams,
     _dense,
-    _trace_terms,
-    g_derivative,
-    solve_g,
+    build_covariance,
+    validate_model,
 )
-from specbulk.model import CovarianceSpec, ModelParams, build_covariance, validate_model
-from specbulk.spectrum import density_grid
+from specbulk.spectrum import atom_at_zero, density_grid
 
 RTOL = 1e-12
 OPTS = SolverOptions(tol=1e-13)
@@ -204,3 +204,112 @@ class TestAgreement:
         assert _close(gf.support, gd.support)
         assert gf.atom_at_zero == gd.atom_at_zero
         assert abs(gf.total_mass - gd.total_mass) <= RTOL
+
+
+def _recorded_shapes(monkeypatch):
+    """Record the shape of every matrix passed to eigvalsh, eigh and matrix_rank."""
+    shapes = []
+    for name in ("eigvalsh", "eigh", "matrix_rank"):
+        func = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, *args, _func=func, **kw:
+                            shapes.append(np.shape(m)) or _func(m, *args, **kw))
+    return shapes
+
+
+def _rotation(p, seed):
+    """A fixed random orthogonal p x p matrix."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))[0]
+
+
+def _reflected(p, r, seed):
+    """A PSD matrix of rank 2r that commutes with the reversal: X X^T + J X X^T J."""
+    x = np.random.default_rng(seed).standard_normal((p, r))
+    gram = x @ x.T
+    return gram + gram[::-1, ::-1]
+
+
+def _stored_form(params):
+    """The form validation stored: diagonal, basis, one_block or two_blocks."""
+    if params.spectra is not None:
+        return "diagonal" if params.basis is None else "basis"
+    return "one_block" if params.blocks.shape[1] == 1 else "two_blocks"
+
+
+class TestStoredFormEigenvalues:
+    """validate_model reads the PSD check, the clamp and c_max, and atom_at_zero
+    its ranks, from the stored form of the covariances."""
+
+    @pytest.mark.parametrize("build, p", [
+        (lambda: threeclass_params(512), 512),
+        (threeclass_odd_params, 65),
+    ], ids=["threeclass_512", "threeclass_odd_65"])
+    def test_reflection_models_take_no_dense_eigensolve(self, monkeypatch, build, p):
+        shapes = _recorded_shapes(monkeypatch)
+        params = build()
+        atom_at_zero(params)
+        singular = _model(p, (20, 20), [_reflected(p, 3, 1), _reflected(p, 4, 2)])
+        atom_at_zero(singular)
+        monkeypatch.undo()
+        assert _stored_form(params) == _stored_form(singular) == "two_blocks"
+        assert shapes and max(s[-1] for s in shapes) <= (p + 1) // 2
+        assert (params.k, (p + 1) // 2, (p + 1) // 2) in shapes  # the even blocks
+
+    def test_diagonal_models_take_no_eigensolve(self, monkeypatch):
+        shapes = _recorded_shapes(monkeypatch)
+        # rank-30 and rank-30 diagonals sharing 10 directions: rank W = 50
+        pair = [np.r_[np.linspace(1.0, 2.0, 30), np.zeros(34)],
+                np.r_[np.zeros(20), np.ones(30), np.zeros(14)]]
+        models = [_model(32, (64,), [np.eye(32)]),
+                  _model(64, (40, 40), [np.diag(d) for d in pair])]
+        atoms = [atom_at_zero(params) for params in models]
+        monkeypatch.undo()
+        assert shapes == []
+        assert atoms == [0.5, 1.0 - 50 / 80]
+
+    @pytest.mark.parametrize("form", ["basis", "two_blocks_even", "two_blocks_odd",
+                                      "one_block"])
+    def test_clamp_keeps_form_and_covariances_in_agreement(self, form):
+        # one class gets a tiny negative eigenvalue, inside PSD_TOL
+        p = 17 if form == "two_blocks_odd" else 16
+        if form == "basis":
+            u = _rotation(p, 3)
+            covs = [(u * np.r_[-5e-11, np.linspace(0.5, 2.0, p - 1)]) @ u.T]
+        elif form == "one_block":
+            u = _rotation(p, 4)
+            covs = [np.diag(np.linspace(0.5, 2.0, p)),
+                    (u * np.r_[-5e-11, np.linspace(0.5, 2.0, p - 1)]) @ u.T]
+        else:
+            toep = _toeplitz(p, rho=0.5)
+            covs = [_toeplitz(p, rho=0.3),
+                    toep - (np.linalg.eigvalsh(toep)[0] + 5e-11) * np.eye(p)]
+        params = _model(p, (p,) * len(covs), covs)
+        assert form.startswith(_stored_form(params))
+        # the stored eigenvalues are clamped to exactly zero; a dense eigvalsh
+        # of a covariance rebuilt from them sees that zero to rounding
+        assert (params.eigenvalues >= 0.0).all() and params.eigenvalues.min() == 0.0
+        for a, cov in enumerate(params.covariances):
+            assert np.linalg.eigvalsh(cov)[0] >= -1e-14 * params.c_max
+            stored = params.spectra[a] if form == "basis" else params.blocks[a]
+            assert np.abs(_dense(stored, params) - cov).max() <= 1e-14 * params.c_max
+
+    @pytest.mark.parametrize("form", ["two_blocks_even", "two_blocks_odd", "basis",
+                                      "one_block"])
+    def test_singular_atom_matches_dense(self, form):
+        if form.startswith("two_blocks"):
+            p = 33 if form == "two_blocks_odd" else 32
+            covs, rank, sizes = [_reflected(p, 3, 5), _reflected(p, 4, 6)], 14, (20, 20)
+        elif form == "basis":
+            p, u = 64, _rotation(64, 7)
+            pair = [np.r_[np.linspace(1.0, 2.0, 30), np.zeros(34)],
+                    np.r_[np.zeros(20), np.linspace(1.0, 3.0, 30), np.zeros(14)]]
+            covs = [(u * lam) @ u.T for lam in pair]
+            rank, sizes = 50, (40, 40)
+        else:
+            p, u = 32, _rotation(32, 8)
+            covs = [np.diag(np.r_[np.linspace(0.5, 2.0, 10), np.zeros(22)]),
+                    (u * np.r_[np.linspace(1.0, 2.0, 6), np.zeros(26)]) @ u.T]
+            rank, sizes = 16, (20, 20)
+        params = _model(p, sizes, covs)
+        assert form.startswith(_stored_form(params))
+        atom = atom_at_zero(params)
+        assert atom == atom_at_zero(dense_reference(params)) == 1.0 - rank / params.n

@@ -50,11 +50,20 @@ class TestBuildCovariance:
         np.testing.assert_allclose(loaded, mat)
 
     def test_dense_not_psd_names_eigenvalue(self, tmp_path):
-        mat = np.diag([1.0, -0.5])
+        # a dense file is checked where every covariance is, in validate_model
         path = tmp_path / "bad.txt"
         path.write_text("2\n1.0 0.0\n0.0 -0.5\n")
+        spec = ModelSpec(p=2, classes=((2, CovarianceSpec("dense", path=str(path))),))
         with pytest.raises(ValidationError, match=r"most negative eigenvalue -5\.0"):
-            build_covariance(CovarianceSpec("dense", path=str(path)), 2)
+            spec.materialize()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_dense_non_finite(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2\n1.0 0.0\n0.0 {bad}\n")
+        spec = ModelSpec(p=2, classes=((2, CovarianceSpec("dense", path=str(path))),))
+        with pytest.raises(ValidationError, match="non-finite"):
+            spec.materialize()
 
     def test_dense_unreadable_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -92,6 +101,11 @@ class TestCovarianceSpec:
     def test_negative_diagonal(self):
         with pytest.raises(ValidationError, match=">= 0"):
             CovarianceSpec("diagonal", values=(1.0, -1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_diagonal(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            CovarianceSpec("diagonal", values=(1.0, bad, 1.0, 1.0))
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError, match="unknown covariance kind"):
@@ -152,6 +166,15 @@ class TestValidateModel:
         mat = np.diag([1.0, -1e-6])
         with pytest.raises(ValidationError, match="most negative eigenvalue"):
             validate_model(ModelParams(p=2, class_sizes=(2,), covariances=(mat,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # checked before the symmetry test and any eigensolve: no LinAlgError,
+        # and no RuntimeWarning from inf - inf
+        mat = np.eye(4)
+        mat[1, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_model(ModelParams(p=4, class_sizes=(4,), covariances=(mat,)))
 
     def test_tiny_negative_eigenvalue_clamped(self):
         mat = np.diag([1.0, -5e-11])
