@@ -55,6 +55,21 @@ def _require_keys(d: dict, allowed: set[str], context: str, required: set[str] =
         raise ConfigError(f"missing key {sorted(missing)[0]!r} in {context}")
 
 
+def _number(value, context: str, kind=float):
+    """kind(value) for a number read from the config, else ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context} must be a number, got {value!r}") from exc
+
+
+def _config_z(value, context: str) -> complex:
+    """A complex point given in the config as [re, im]."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{context} must be a pair [re, im], got {value!r}")
+    return complex(_number(value[0], context), _number(value[1], context))
+
+
 def load_config(path) -> tuple[dict, str]:
     """Parse and structurally validate a config file; returns (config, sha256)."""
     try:
@@ -84,11 +99,11 @@ def model_from_config(cfg: dict) -> ModelParams:
     if not isinstance(section["classes"], list) or not section["classes"]:
         raise ConfigError("model.classes must be a nonempty list")
     sizes, covs = [], []
-    p = int(section["p"])
+    p = _number(section["p"], "model.p", int)
     for i, cls in enumerate(section["classes"]):
         _require_keys(cls, {"n", "covariance"}, f"model.classes[{i}]",
                       required={"n", "covariance"})
-        sizes.append(int(cls["n"]))
+        sizes.append(_number(cls["n"], f"model.classes[{i}].n", int))
         try:
             spec = CovarianceSpec.from_dict(cls["covariance"])
             covs.append(build_covariance(spec, p))
@@ -138,12 +153,12 @@ def cmd_density(cfg, digest, out_dir):
         raise ConfigError("density command needs a 'density' section")
     _require_keys(section, {"x_min", "x_max", "n_points"}, "density",
                   required={"x_min", "x_max", "n_points"})
+    x_min, x_max = (_number(section[key], f"density.{key}") for key in ("x_min", "x_max"))
+    n_points = _number(section["n_points"], "density.n_points", int)
     params = model_from_config(cfg)
     opts = solver_from_config(cfg)
     try:
-        grid = spectrum.density_grid(
-            section["x_min"], section["x_max"], int(section["n_points"]), params, opts
-        )
+        grid = spectrum.density_grid(x_min, x_max, n_points, params, opts)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     out = Path(out_dir)
@@ -162,7 +177,9 @@ def cmd_solve(cfg, digest, out_dir, z_values):
         if section is None:
             raise ConfigError("solve command needs --z points or a 'solve' section")
         _require_keys(section, {"z"}, "solve", required={"z"})
-        z_values = [complex(float(re), float(im)) for re, im in section["z"]]
+        if not isinstance(section["z"], list):
+            raise ConfigError(f"solve.z must be a list of pairs, got {section['z']!r}")
+        z_values = [_config_z(zv, f"solve.z[{i}]") for i, zv in enumerate(section["z"])]
     if any(zv == 0 for zv in z_values):
         raise ConfigError("z = 0 is excluded (atom location)")
     params = model_from_config(cfg)
@@ -196,18 +213,20 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
         "simulate",
         required={"trials", "grid"},
     )
-    trials = int(section["trials"])
+    trials = _number(section["trials"], "simulate.trials", int)
     if trials < 1:
         raise ConfigError(f"simulate.trials must be >= 1, got {trials}")
-    run_seed = int(seed if seed is not None else section.get("seed", 0))
+    run_seed = seed
+    if run_seed is None:
+        run_seed = _number(section.get("seed", 0), "simulate.seed", int)
     grid_cfg = section["grid"]
     _require_keys(grid_cfg, {"x_min", "x_max", "n_points"}, "simulate.grid",
                   required={"x_min", "x_max", "n_points"})
+    x_min, x_max = (_number(grid_cfg[k], f"simulate.grid.{k}") for k in ("x_min", "x_max"))
+    n_points = _number(grid_cfg["n_points"], "simulate.grid.n_points", int)
     params = model_from_config(cfg)
     opts = solver_from_config(cfg)
-    grid = spectrum.density_grid(
-        grid_cfg["x_min"], grid_cfg["x_max"], int(grid_cfg["n_points"]), params, opts
-    )
+    grid = spectrum.density_grid(x_min, x_max, n_points, params, opts)
 
     reports = {}
     failures = []
@@ -215,34 +234,38 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
         hist_cfg = section["histogram"]
         _require_keys(hist_cfg, {"bin_width", "l1_threshold"}, "simulate.histogram",
                       required={"bin_width"})
+        width = _number(hist_cfg["bin_width"], "simulate.histogram.bin_width")
+        threshold = hist_cfg.get("l1_threshold")
+        if threshold is not None:
+            threshold = _number(threshold, "simulate.histogram.l1_threshold")
         rep = mc.histogram_report(
-            params, trials,
-            (grid.xs[0], grid.xs[-1], float(hist_cfg["bin_width"])),
+            params, trials, (grid.xs[0], grid.xs[-1], width),
             grid, seed=run_seed, workers=workers,
         )
         payload = rep.to_dict()
-        threshold = hist_cfg.get("l1_threshold")
         if threshold is not None:
             l1 = rep.metric("l1_distance").mean
-            ok = l1 <= float(threshold)
+            ok = l1 <= threshold
             payload["pass"] = ok
-            payload["threshold"] = float(threshold)
+            payload["threshold"] = threshold
             if not ok:
                 failures.append(f"histogram l1_distance {l1:.4f} > {threshold}")
         reports["histogram"] = payload
     if "outliers" in section:
         out_cfg = section["outliers"]
         _require_keys(out_cfg, {"max_distance", "trials"}, "simulate.outliers")
-        out_trials = int(out_cfg.get("trials", trials))
+        out_trials = _number(out_cfg.get("trials", trials), "simulate.outliers.trials", int)
+        threshold = out_cfg.get("max_distance")
+        if threshold is not None:
+            threshold = _number(threshold, "simulate.outliers.max_distance")
         rep = mc.outlier_report(params, out_trials, grid, seed=run_seed,
                                 workers=workers)
         payload = rep.to_dict()
-        threshold = out_cfg.get("max_distance")
         if threshold is not None:
             worst = rep.metric("max_distance").mean
-            ok = worst <= float(threshold)
+            ok = worst <= threshold
             payload["pass"] = ok
-            payload["threshold"] = float(threshold)
+            payload["threshold"] = threshold
             if not ok:
                 failures.append(f"outliers max_distance {worst:.4f} > {threshold}")
         reports["outliers"] = payload
@@ -287,10 +310,13 @@ def cmd_equivalents(cfg, digest, out_dir, z_values):
                 "equivalents command needs --z z1 --z z2 or an 'equivalents' section"
             )
         _require_keys(section, {"z1", "z2"}, "equivalents", required={"z1", "z2"})
-        z1 = complex(float(section["z1"][0]), float(section["z1"][1]))
-        z2 = complex(float(section["z2"][0]), float(section["z2"][1]))
+        z1, z2 = (_config_z(section[key], f"equivalents.{key}") for key in ("z1", "z2"))
     if z1 == 0 or z2 == 0:
         raise ConfigError("z = 0 is excluded (atom location)")
+    sigma2_list = cfg.get("sigma2") or []
+    if not isinstance(sigma2_list, list):
+        raise ConfigError(f"sigma2 must be a list of numbers, got {sigma2_list!r}")
+    sigma2_list = [_number(s2, f"sigma2[{i}]") for i, s2 in enumerate(sigma2_list)]
     params = model_from_config(cfg)
     opts = solver_from_config(cfg)
     p1 = solve_g(z1, params, opts)
@@ -310,11 +336,9 @@ def cmd_equivalents(cfg, digest, out_dir, z_values):
             complex(np.trace(eq1.q_tilde_bar)) / params.p
         ),
     }
-    sigma2_list = cfg.get("sigma2")
     if sigma2_list:
         functionals = []
         for s2 in sigma2_list:
-            s2 = float(s2)
             point = solve_g(complex(-s2, 0.0), params, opts)
             functionals.append(
                 {

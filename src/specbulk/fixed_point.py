@@ -12,23 +12,22 @@ equivalently the fixed point of the map
 
 The measure of interest has Stieltjes transform m(z) = c0 sum_a c_a g_a(z).
 Solving is done by Newton's method on Psi(g) - g with the exact k x k
-Jacobian, falling back to a damped Picard step when no Newton step
-decreases the residual. Points near the real axis are reached by an
-adaptive ladder in Im z; ladder levels and sweep points start from a
-secant prediction through the two previous solutions. A real point x is
-solved by Newton's method in real arithmetic, and accepted as lying
-outside the support when the kernel Omega(x, x) at the real fixed point
-has spectral radius below one (the real-axis characterisation of
-Silverstein & Choi, 1995). Only when that attempt fails does the solve
-descend Im z to ~1e-9 and polish at zero.
+Jacobian, in real arithmetic at real z. Points near the real axis are
+reached by an adaptive ladder in Im z; ladder levels and sweep points
+start from a secant prediction through the two previous solutions. The
+first level and any level taken with the base step fall back to a damped
+Picard step when no Newton step decreases the residual.
 
-Every start that may fail gets the same budget of _TRIAL_EVALS
-evaluations. A warm start and a ladder level taken with a grown step go
-through `_trial`, which rejects them when they do not converge within it
-or land outside the admissible half-plane; a rejected warm start falls
-back to the ladder, a rejected level to a shorter step. The real-axis
-Newton attempt is rejected when it does not converge within the budget
-or fails its rho(Omega) certificate.
+Every start that may fail goes through `_trial`, which gives it
+_TRIAL_EVALS evaluations and no Picard step: a warm start, a ladder level
+taken with a grown step, and a real point. At complex z it is rejected
+when it stalls or lands outside the admissible half-plane; a rejected warm
+start falls back to the ladder, a rejected level to a shorter step. At a
+real x it is accepted only when the kernel Omega(x, x) at its fixed point
+has spectral radius below one, which places x outside the support
+(Silverstein & Choi, 1995). When that trial is rejected, the ladder
+descends to Im z ~ 1e-9 and one more trial starts from the real part of
+its solution; when that too is rejected, the solve fails.
 
 Every evaluation goes through one kernel, `_trace_terms`, which inverts M.
 When the class covariances commute, `validate_model` stores their joint
@@ -62,12 +61,12 @@ from .nonneg import spectral_radius
 
 # Residual denominators are guarded by this floor to avoid 0/0.
 _NORM_FLOOR = 1e-30
-# Imaginary part below which a real-axis target is solved by continuation.
+# Im z of the last ladder level for a real point its first trial rejects.
 _REAL_AXIS_ETA_FLOOR = 1e-9
 # Psi evaluations allowed for one trial start: a warm start, a capped
-# ladder level or a real-axis Newton attempt. A start that does not reach
-# tol within them (or that lands outside the admissible half-plane) is
-# rejected, and the solve falls back to a safer start.
+# ladder level or a real point. A start that does not reach tol within
+# them (or that fails its half-plane or rho(Omega) check) is rejected, and
+# the solve falls back to a safer start.
 _TRIAL_EVALS = 12
 # Step fraction of the first damped Picard fallback step; halved (down to
 # 1/64) whenever a fallback step raises the residual.
@@ -284,34 +283,29 @@ def _wrong_half_plane(candidate, z):
 
 
 def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
-    """Newton corrector on Psi(g) - g from g0, at fixed z.
+    """Newton corrector on Psi(g) - g from g0, at fixed z, in real
+    arithmetic when z and g0 are real and in complex arithmetic otherwise.
 
-    Each step solves (I - J) s = Psi(g) - g with J the exact k x k
-    Jacobian of Psi at the current iterate, and halves s until the true
-    residual decreases. When no fraction decreases it, or I - J is
-    singular, one damped Picard step g + damping (Psi(g) - g) is taken
-    instead; damping starts at _PICARD_DAMPING and is halved (down to
-    1/64) whenever such a step raises the residual. Every candidate is
-    judged on its actual residual, so the returned g always satisfies
-    ||Psi(g) - g||_inf <= tol ||g||_inf regardless of how the step was
-    produced.
+    Each step solves (I - J) s = Psi(g) - g with J the exact k x k Jacobian
+    of Psi at the current iterate and takes the first of s and s/2 whose
+    true residual is lower; a candidate on the wrong half-plane is skipped,
+    one where M is singular fails. When neither is taken, a trial (cap
+    given) gives up and returns g = None, as it does after min(max_iter,
+    cap) evaluations. A free level (no cap) instead takes one damped Picard
+    step g + damping (Psi(g) - g), damping halved (down to 1/64) whenever
+    such a step raises the residual, and raises NonConvergenceError after
+    max_iter evaluations. A returned g satisfies ||Psi(g) - g||_inf <= tol
+    ||g||_inf, however the step that reached it was produced.
 
-    Returns (g, residual, evaluations <= min(opts.max_iter, cap), traces at g).
+    Returns (g, residual, evaluations, traces at g, M^{-1} at g).
     """
-    g = np.asarray(g0, dtype=complex)
+    real = np.isrealobj(z) and np.isrealobj(g0)
+    g = np.asarray(g0, dtype=float if real else complex)
     f, resid, t, minv = _psi_eval(g, z, params)
-    evals, max_iter = 1, min(opts.max_iter, cap or opts.max_iter)
+    evals, max_iter = 1, opts.max_iter if cap is None else min(opts.max_iter, cap)
     damping = _PICARD_DAMPING
     eye = np.eye(params.k)
-    while not resid <= opts.tol:  # a NaN residual certifies nothing
-        if evals >= max_iter:
-            raise NonConvergenceError(
-                f"no convergence at z={z} after {max_iter} evaluations "
-                f"(last residual {resid:.3e})",
-                z=z,
-                residual=float(resid),
-                iterations=evals,
-            )
+    while not resid <= opts.tol and evals < max_iter:  # NaN certifies nothing
         delta = f - g
         try:
             step = np.linalg.solve(eye - _psi_jacobian(t, minv, z, params), delta)
@@ -319,69 +313,43 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
             step = None
         stepped = False
         if step is not None:
-            for frac in (1.0, 0.5, 0.25, 0.125):
+            for frac in (1.0, 0.5):
                 candidate = g + frac * step
                 if _wrong_half_plane(candidate, z):
                     continue
-                f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
                 evals += 1
+                try:
+                    f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
+                except NumericalSingularityError:
+                    resid_c = np.inf
                 if resid_c < resid:
                     g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
                     stepped = True
                     break
                 if evals >= max_iter:
                     break
-        if not stepped and evals < max_iter:
+        if stepped:
+            continue
+        if cap is not None:
+            break  # a trial takes no Picard step
+        if evals < max_iter:
             candidate = g + damping * delta
             f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
             evals += 1
             if resid_c > resid:
                 damping = max(damping / 2.0, 1.0 / 64.0)
             g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
-    return g, resid, evals, t
-
-
-def _real_newton(x, g0, params: ModelParams, tol, cap=_TRIAL_EVALS):
-    """Newton on Psi(g) = g in real arithmetic at real x, from g0.
-
-    Each step solves (I - J) s = Psi(g) - g and tries the fractions 1 and
-    1/2 of s. The point is certified to lie outside the support when the
-    relative residual reaches tol within cap evaluations and the kernel
-    Omega(x, x), which is the Jacobian of Psi at the fixed point, has
-    spectral radius below one (Silverstein & Choi, 1995).
-
-    Returns (g, residual, evaluations, traces at g, Omega, rho(Omega));
-    g is None when x is not certified, and evaluations then counts the
-    attempt.
-    """
-    g = np.asarray(g0, dtype=float)
-    evals = 1
-    try:
-        with np.errstate(all="ignore"):
-            f, resid, t, minv = _psi_eval(g, x, params)
-            while not resid <= tol:
-                if evals >= cap or not np.isfinite(resid):
-                    break
-                jac = _psi_jacobian(t, minv, x, params)
-                step = np.linalg.solve(np.eye(params.k) - jac, f - g)
-                for frac in (1.0, 0.5):
-                    cand = g + frac * step
-                    evals += 1
-                    f_c, resid_c, t_c, minv_c = _psi_eval(cand, x, params)
-                    if resid_c < resid:
-                        g, f, resid, t, minv = cand, f_c, resid_c, t_c, minv_c
-                        break
-                else:
-                    break  # neither fraction decreased the residual
-            if resid <= tol:
-                omega = _psi_jacobian(t, minv, x, params)
-                if np.isfinite(omega).all():
-                    rho = spectral_radius(omega)
-                    if rho < 1.0:
-                        return g, resid, evals, t, omega, rho
-    except (NumericalSingularityError, np.linalg.LinAlgError):
-        pass
-    return None, float("nan"), evals, None, None, float("nan")
+    if resid <= opts.tol:
+        return g, resid, evals, t, minv
+    if cap is not None:
+        return None, float("nan"), evals, None, None
+    raise NonConvergenceError(
+        f"no convergence at z={z} after {max_iter} evaluations "
+        f"(last residual {resid:.3e})",
+        z=z,
+        residual=float(resid),
+        iterations=evals,
+    )
 
 
 def _violates_signs(z, g):
@@ -432,20 +400,34 @@ def _secant_guess(z, z1, g1, z0, g0):
 
 
 def _trial(z, guess, params, opts):
-    """A trial start: `_iterate` from guess, capped at _TRIAL_EVALS.
+    """A start that may fail: `_iterate` from guess, capped at _TRIAL_EVALS.
 
-    Returns what `_iterate` returns, or (None, nan, evaluations, None)
-    when the attempt stalls within the cap or its g violates the
-    half-plane signs (a fixed point on the conjugate branch); evaluations
-    counts the attempt either way.
+    At complex z, a g that violates the half-plane signs (a fixed point on
+    the conjugate branch) is rejected. At real z, with a real guess, g is
+    accepted only when the kernel Omega(z, z), the Jacobian of Psi at g, is
+    finite with spectral radius below one: z then lies outside the support
+    (Silverstein & Choi, 1995).
+
+    Returns (g, residual, evaluations, traces at g, Omega, rho(Omega)),
+    Omega and rho only at real z; g is None when the attempt stalls, starts
+    at a singular M, reaches the cap or is rejected. Evaluations count
+    either way.
     """
-    try:
-        g, resid, evals, t = _iterate(z, guess, params, opts, _TRIAL_EVALS)
-    except NonConvergenceError as exc:
-        return None, float("nan"), exc.iterations, None
-    if _violates_signs(z, g):
-        return None, float("nan"), evals, None
-    return g, resid, evals, t
+    omega, rho = None, float("nan")
+    with np.errstate(all="ignore"):
+        try:
+            g, resid, evals, t, minv = _iterate(z, guess, params, opts, _TRIAL_EVALS)
+        except NumericalSingularityError:  # M singular at the guess
+            g, evals = None, 1
+        if g is not None and z.imag:
+            g = None if _violates_signs(z, g) else g
+        elif g is not None:
+            omega = _psi_jacobian(t, minv, z, params)
+            rho = spectral_radius(omega) if np.isfinite(omega).all() else rho
+            g = g if rho < 1.0 else None
+    if g is None:
+        return None, float("nan"), evals, None, None, float("nan")
+    return g, resid, evals, t, omega, rho
 
 
 def _ladder(z, params, opts):
@@ -453,7 +435,7 @@ def _ladder(z, params, opts):
     evaluations of rejected levels count in the returned total."""
     target = abs(z.imag)
     z1 = complex(z.real, np.copysign(max(_CONTINUATION_START_IM, target), z.imag))
-    g1, resid, total, t = _iterate(z1, initial_guess(z1, params), params, opts)
+    g1, resid, total, t, _ = _iterate(z1, initial_guess(z1, params), params, opts)
     z0 = g0 = None
     ratio = _LADDER_RATIO
     while abs(z1.imag) > target * (1.0 + 1e-12):
@@ -462,7 +444,7 @@ def _ladder(z, params, opts):
         z_next = complex(z.real, np.copysign(eta, z.imag))
         guess = g1 if z0 is None else _secant_guess(z_next, z1, g1, z0, g0)
         step = _trial if ratio > _LADDER_RATIO else _iterate
-        g, resid_n, evals, t_n = step(z_next, guess, params, opts)
+        g, resid_n, evals, t_n = step(z_next, guess, params, opts)[:4]
         total += evals
         if g is None:
             ratio = max(np.sqrt(ratio), _LADDER_RATIO)  # reject the level
@@ -478,36 +460,29 @@ def _solve_complex(z, params, opts, warm_start=None):
     continuation ladder; the evaluations of both count."""
     spent = 0
     if warm_start is not None:
-        g, resid, spent, t = _trial(z, warm_start, params, opts)
+        g, resid, spent, t, _, _ = _trial(z, warm_start, params, opts)
         if g is not None:
             return g, resid, spent, t
     g, resid, total, t = _ladder(z, params, opts)
     return g, resid, spent + total, t
 
 
-def _solve_real(z, params, opts, warm_start=None):
-    """Real z outside the support: one certified real-axis Newton attempt
-    from the real part of the warm start, or from the asymptote; when it
-    fails, descend in Im z and polish at eta = 0."""
-    x = float(z.real)
+def _solve_real(x, params, opts, warm_start=None):
+    """Real x outside the support: a trial from the real part of the warm
+    start, or from the asymptote; when it is rejected, the ladder down to
+    Im z = _REAL_AXIS_ETA_FLOOR and one more trial from the real part of
+    its g. Both trials are certified by rho(Omega(x, x)) < 1."""
     g0 = initial_guess(x, params).real if warm_start is None else warm_start.real
-    g, resid, total, t, _, _ = _real_newton(
-        x, g0, params, opts.tol, min(_TRIAL_EVALS, opts.max_iter))
+    g, resid, total, t, _, _ = _trial(x, g0, params, opts)
     if g is None:
-        g, _, evals, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts)
-        total += evals
-        # final polish at exactly eta = 0
-        g, _, evals, _ = _iterate(complex(x, 0.0), g, params, opts)
-        total += evals
-        rel_imag = np.abs(g.imag).max() / (np.abs(g).max() + _NORM_FLOOR)
-        if rel_imag > 1e-6:
+        g_eta, _, spent, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts)
+        g, resid, evals, t, _, _ = _trial(x, g_eta.real, params, opts)
+        total += spent + evals
+        if g is None:
             raise ConsistencyError(
-                f"real-axis solve at z={x} kept imaginary mass {rel_imag:.3e}; "
+                f"real-axis solve at z={x} not certified by rho(Omega) < 1; "
                 "the point is inside or too close to the support"
             )
-        g = g.real
-        _, resid, t, _ = _psi_eval(g, x, params)  # residual of the projection
-        total += 1
     if x < 0 and np.any(params.c0 * g <= 0):
         raise ConsistencyError(
             f"real-axis solve at z={x} lost positivity of c0 g_a"
@@ -525,12 +500,10 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
     stalls or lands outside the admissible half-plane. The returned point
     passes the half-plane sign and |g| bound checks, which run once.
     iterations counts every Psi evaluation, failed attempts included. Real z
-    must lie outside the support (and away from 0). It is solved by Newton's
-    method in real arithmetic, from the real part of the warm start or from
-    the asymptote -1/(c0 z), and certified by rho(Omega(z, z)) < 1. When
-    that attempt fails, the point is reached by the ladder down to
-    Im z = 1e-9 and polished at Im z = 0, and the imaginary part left must
-    vanish.
+    must lie outside the support (and away from 0). It is solved by a real
+    trial from the real part of the warm start or from the asymptote
+    -1/(c0 z), else by one from the real part of the ladder's solution at
+    Im z = 1e-9, and returned only with rho(Omega(z, z)) < 1.
     """
     opts = opts or DEFAULT_OPTIONS
     params = _require_validated(params)
@@ -544,7 +517,7 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
                 f"warm start has shape {warm_start.shape}, expected ({params.k},)"
             )
     if z.imag == 0.0:
-        g, resid, evals, t = _solve_real(z, params, opts, warm_start)
+        g, resid, evals, t = _solve_real(z.real, params, opts, warm_start)
     else:
         g, resid, evals, t = _solve_complex(z, params, opts, warm_start)
         _check_admissible(z, g, params)

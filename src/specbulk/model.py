@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -44,6 +45,14 @@ class CovarianceSpec:
     def __post_init__(self):
         if self.kind not in _COV_KINDS:
             raise ValidationError(f"unknown covariance kind {self.kind!r}")
+        for name in ("scale", "rho"):
+            value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
+        if self.values is not None and not (
+                isinstance(self.values, (tuple, list, np.ndarray))
+                and all(isinstance(v, Real) for v in self.values)):
+            raise ValidationError(f"values must be a list of numbers, got {self.values!r}")
         if self.kind in ("scaled_identity", "toeplitz") and not self.scale > 0:
             raise ValidationError(f"scale must be positive, got {self.scale}")
         if self.kind == "toeplitz" and not 0.0 <= self.rho < 1.0:
@@ -66,8 +75,8 @@ class CovarianceSpec:
         unknown = set(d) - known
         if unknown:
             raise ValidationError(f"unknown covariance spec keys: {sorted(unknown)}")
-        if "values" in d and d["values"] is not None:
-            d["values"] = tuple(float(v) for v in d["values"])
+        if isinstance(d.get("values"), list):
+            d["values"] = tuple(d["values"])
         return cls(kind=kind, **d)
 
 
@@ -199,12 +208,13 @@ def validate_model(params: ModelParams) -> ModelParams:
             )
         if not np.isfinite(mat).all():
             raise ValidationError(f"covariance {a} has non-finite entries")
-        asym = np.abs(mat - mat.T).max()
+        sym = 0.5 * (mat + mat.T)
+        asym = 2.0 * np.abs(mat - sym).max()  # max |mat - mat.T|, read in order
         if asym > SYM_TOL * (1.0 + np.abs(mat).max()):
             raise ValidationError(
                 f"covariance {a} not symmetric (max asymmetry {asym:.3e})"
             )
-        covs.append(0.5 * (mat + mat.T))
+        covs.append(sym)
 
     scale = max(float(np.abs(mat).max()) for mat in covs)  # at most C_max
     spectra, basis = _joint_spectra(covs, scale)

@@ -22,7 +22,7 @@ from .fixed_point import (
     DEFAULT_OPTIONS,
     SolverOptions,
     _g_prime,
-    _real_newton,
+    _trial,
     solve_g,
     solve_grid,
 )
@@ -144,15 +144,11 @@ class _RealPoint:
     gap: float  # 1 - rho(Omega(x, x))
 
 
-def _certify(x, g0, params: ModelParams, tol) -> _RealPoint | None:
-    """Newton on Psi(g) = g in real arithmetic at real x, from g0.
-
-    Returns the point when `fixed_point._real_newton` reaches the relative
-    residual tol within its evaluation cap and the kernel Omega(x, x) has
-    spectral radius below one; otherwise None (x is not certified to lie
-    outside the support).
-    """
-    g, _, _, _, omega, rho = _real_newton(x, g0, params, tol)
+def _certify(x, g0, params: ModelParams, opts) -> _RealPoint | None:
+    """x as a point outside the support when the real-axis trial of
+    `fixed_point._trial` from g0 converges with rho(Omega(x, x)) < 1, else
+    None (x is not certified to lie outside the support)."""
+    g, _, _, _, omega, rho = _trial(x, g0, params, opts)
     if g is None:
         return None
     try:
@@ -174,7 +170,7 @@ def _extrapolate_edge(near: _RealPoint, far: _RealPoint):
     return near.x - near.gap**2 * (far.x - near.x) / d2
 
 
-def _refine_edge(near: _RealPoint, far: _RealPoint, params, tol) -> float:
+def _refine_edge(near: _RealPoint, far: _RealPoint, params, opts) -> float:
     """Walk from the certified point `near` toward the support edge beyond it.
 
     `far` lies further from the support. Each step extrapolates the edge
@@ -205,7 +201,7 @@ def _refine_edge(near: _RealPoint, far: _RealPoint, params, tol) -> float:
                 np.sqrt((x_new - edge) / dist) - 1.0)
         else:
             g0 = near.g + (x_new - near.x) * near.g_prime
-        point = _certify(x_new, g0, params, tol)
+        point = _certify(x_new, g0, params, opts)
         if point is None:
             bad = x_new
         else:
@@ -217,14 +213,14 @@ def _refine_edge(near: _RealPoint, far: _RealPoint, params, tol) -> float:
 
 
 def _certified_support(grid: DensityGrid, xs, candidates):
-    params, tol = grid.params, grid.opts.tol
+    params, opts = grid.params, grid.opts
     certified = {}
     outside = np.zeros(xs.size, dtype=bool)
     for i in np.flatnonzero(candidates):
         if xs[i] <= 0.0:
             outside[i] = True
             continue
-        point = _certify(xs[i], np.real(grid.g[i]), params, tol)
+        point = _certify(xs[i], np.real(grid.g[i]), params, opts)
         if point is not None:
             certified[i] = point
             outside[i] = True
@@ -239,10 +235,10 @@ def _certified_support(grid: DensityGrid, xs, candidates):
         if far is None:
             h = 0.25 * (xs[1] - xs[0])
             far = _certify(near.x - toward * h, near.g - toward * h * near.g_prime,
-                           params, tol)
+                           params, opts)
             if far is None:
                 return float(xs[i])
-        return float(_refine_edge(near, far, params, tol))
+        return float(_refine_edge(near, far, params, opts))
 
     intervals = []
     start = None if outside[0] else float(xs[0])

@@ -88,8 +88,9 @@ class TestSolveCommand:
         assert "z = 0" in capsys.readouterr().err
 
     def test_real_point_inside_support_is_numerical_error(self, tmp_path, capsys):
-        # z = 2 sits inside the spectral bulk: the real-axis solve keeps
-        # imaginary mass and must surface as a numerical error (exit 2)
+        # z = 2 sits inside the spectral bulk: no real-axis solve there is
+        # certified by rho(Omega) < 1, which must surface as a numerical
+        # error (exit 2)
         cfg = _write_config(tmp_path, {"version": 1, "model": MP_MODEL})
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
                    "--z", "2,0"])
@@ -240,6 +241,24 @@ class TestConfigValidation:
         )
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, patch", [
+        ("density", {"model": {**MP_MODEL, "p": "sixteen"}}),
+        ("density", {"density": {"x_min": 0.0, "x_max": 5.0, "n_points": "many"}}),
+        ("solve", {"solve": {"z": [[1.0]]}}),
+        ("density", {"model": {"p": 8, "classes": [
+            {"n": 8, "covariance": {"kind": "toeplitz", "scale": "big", "rho": 0.5}}]}}),
+        ("equivalents", {"sigma2": 1.0}),
+        ("simulate", {"simulate": {"trials": "ten",
+                                   "grid": {"x_min": 0.0, "x_max": 5.0, "n_points": 51}}}),
+    ], ids=["p", "n_points", "solve-z", "toeplitz-scale", "sigma2", "trials"])
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, command, patch):
+        payload = {"version": 1, "model": MP_MODEL,
+                   "density": {"x_min": 0.0, "x_max": 5.0, "n_points": 51},
+                   "equivalents": {"z1": [1.0, 1.0], "z2": [2.0, 1.0]}, **patch}
+        cfg = _write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error")
 
     def test_shipped_configs_parse(self):
         from pathlib import Path

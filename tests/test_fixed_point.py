@@ -4,6 +4,7 @@ import pytest
 from helpers import mixture_matrix, mp_params, mp_stieltjes, psi_step, threeclass_params
 
 from specbulk import fixed_point
+from specbulk.equivalents import second_order
 from specbulk.errors import ConsistencyError, ValidationError
 from specbulk.fixed_point import (
     SolverOptions,
@@ -208,13 +209,17 @@ class TestSolveG:
     def test_cold_solve_cost(self, z, g_ref):
         # the halving ladder took 79, 71, 47 and 85 evaluations here; the
         # real points -1 and 100 are certified by the real-axis Newton from
-        # the asymptote, 2.68 in the gap falls back to the ladder
-        point = solve_g(z, threeclass_params(64))
+        # the asymptote, 2.68 in the gap falls back to the ladder and a
+        # second real-axis trial from its g
+        params = threeclass_params(64)
+        point = solve_g(z, params)
         g_ref = np.asarray(g_ref, dtype=complex)
         assert np.abs(point.g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
         assert point.iterations <= 35
         if z in (-1.0, 100.0):
             assert point.iterations <= 12
+        if isinstance(z, float):
+            assert second_order(point, point, params).spectral_radius_omega < 1.0
 
     @pytest.mark.parametrize("warm", [None, [-0.013475, -0.032456, 0.148502]],
                              ids=["cold", "warm-real-root"])
@@ -222,9 +227,18 @@ class TestSolveG:
         # x = 10 lies in the upper component (4.2, 26.5). The warm start is
         # next to a real fixed point there whose kernel has rho(Omega) ~ 6:
         # the real-axis Newton converges to it and only the certificate
-        # rejects it. The ladder's polish then keeps imaginary mass
-        with pytest.raises(ConsistencyError, match="imaginary mass"):
+        # rejects it. The trial from the ladder's g at Im z = 1e-9 is not
+        # certified either
+        with pytest.raises(ConsistencyError, match="not certified"):
             solve_g(10.0, threeclass_params(64), warm_start=warm)
+
+    def test_spurious_real_root_after_ladder_rejected(self):
+        # x = 6.43 lies in the upper component. The trial from the real
+        # part of the ladder's g at Im z = 1e-9 converges within its budget
+        # to a real fixed point whose kernel has rho(Omega) ~ 14, so only
+        # the certificate of that second trial rejects it
+        with pytest.raises(ConsistencyError, match="not certified"):
+            solve_g(6.43, threeclass_params(64))
 
     @pytest.mark.parametrize("aggressive", [False, True])
     @pytest.mark.parametrize("x", [-0.125, -0.01, 0.01, 0.125])
