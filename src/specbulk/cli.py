@@ -4,9 +4,10 @@
              [--seed N] [--workers N] [--z RE,IM ...]
 
 Configs are strict JSON documents with a version field; unknown keys are
-rejected. --workers N runs the Monte Carlo trials of simulate on N
-threads, with output identical to --workers 1. Exit codes: 0 success,
-1 config error, 2 numerical error, 3 simulation assertion failure.
+rejected. --workers N (N >= 1, else a config error) runs the Monte Carlo
+trials of simulate on min(N, trials) threads, with output identical to
+--workers 1. Exit codes: 0 success, 1 config error, 2 numerical error,
+3 simulation assertion failure.
 """
 from __future__ import annotations
 
@@ -216,6 +217,8 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
     trials = _number(section["trials"], "simulate.trials", int)
     if trials < 1:
         raise ConfigError(f"simulate.trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     run_seed = seed
     if run_seed is None:
         run_seed = _number(section.get("seed", 0), "simulate.seed", int)

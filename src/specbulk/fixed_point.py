@@ -12,11 +12,14 @@ equivalently the fixed point of the map
 
 The measure of interest has Stieltjes transform m(z) = c0 sum_a c_a g_a(z).
 Solving is done by Newton's method on Psi(g) - g with the exact k x k
-Jacobian, in real arithmetic at real z. Points near the real axis are
-reached by an adaptive ladder in Im z; ladder levels and sweep points
-start from a secant prediction through the two previous solutions. The
-first level and any level taken with the base step fall back to a damped
-Picard step when no Newton step decreases the residual.
+Jacobian J, in real arithmetic at real z. Points near the real axis are
+reached by an adaptive ladder in Im z. Ladder levels and sweep points
+start from a cubic Hermite prediction through the two previous solutions
+and their slopes g' = c0 (I - J)^{-1} g^2, J the Jacobian each solution's
+own corrector built (at the fixed point J is the kernel Omega(z, z)), so a
+slope costs one k x k solve and no evaluation. The first level and any
+level taken with the base step fall back to a damped Picard step when no
+Newton step decreases the residual.
 
 Every start that may fail goes through `_trial`, which gives it
 _TRIAL_EVALS evaluations and no Picard step: a warm start, a ladder level
@@ -45,6 +48,7 @@ inversion costs m inverses of size b. `_pair_traces`, `_q_tilde` and
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +86,12 @@ _CONTINUATION_START_IM = 1.0
 _LADDER_RATIO = 2.0
 _LADDER_GROWTH = 16.0
 _LADDER_QUICK = 3
+# The Jacobian J that the corrector of this thread's last solve_g call
+# built. solve_grid solves each grid point by calling the module's solve_g,
+# so that a wrapper on solve_g sees every sweep point (perfbench's tracer
+# counts the sweep's evaluations per point that way), and takes each
+# point's slope from this J.
+_last_solve = threading.local()
 
 
 @dataclass(frozen=True)
@@ -297,7 +307,9 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
     max_iter evaluations. A returned g satisfies ||Psi(g) - g||_inf <= tol
     ||g||_inf, however the step that reached it was produced.
 
-    Returns (g, residual, evaluations, traces at g, M^{-1} at g).
+    Returns (g, residual, evaluations, traces at g, J, M^{-1} at g). J is
+    the last Jacobian built, at the iterate the final step started from;
+    when g0 already met tol (one evaluation, no step), J is built at g.
     """
     real = np.isrealobj(z) and np.isrealobj(g0)
     g = np.asarray(g0, dtype=float if real else complex)
@@ -305,10 +317,12 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
     evals, max_iter = 1, opts.max_iter if cap is None else min(opts.max_iter, cap)
     damping = _PICARD_DAMPING
     eye = np.eye(params.k)
+    jac = None
     while not resid <= opts.tol and evals < max_iter:  # NaN certifies nothing
         delta = f - g
+        jac = _psi_jacobian(t, minv, z, params)
         try:
-            step = np.linalg.solve(eye - _psi_jacobian(t, minv, z, params), delta)
+            step = np.linalg.solve(eye - jac, delta)
         except np.linalg.LinAlgError:
             step = None
         stepped = False
@@ -340,9 +354,11 @@ def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
                 damping = max(damping / 2.0, 1.0 / 64.0)
             g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
     if resid <= opts.tol:
-        return g, resid, evals, t, minv
+        if jac is None:
+            jac = _psi_jacobian(t, minv, z, params)
+        return g, resid, evals, t, jac, minv
     if cap is not None:
-        return None, float("nan"), evals, None, None
+        return None, float("nan"), evals, None, None, None
     raise NonConvergenceError(
         f"no convergence at z={z} after {max_iter} evaluations "
         f"(last residual {resid:.3e})",
@@ -392,11 +408,29 @@ def _finish(z, g, resid, evals, t, params: ModelParams) -> ResolventPoint:
     )
 
 
-def _secant_guess(z, z1, g1, z0, g0):
-    """Secant predictor at z through (z0, g0) and (z1, g1), or g1 when it
-    leaves the admissible half-plane (next to an atom or hard edge at zero)."""
-    guess = g1 + (z - z1) / (z1 - z0) * (g1 - g0)
-    return g1 if _wrong_half_plane(guess, z) else guess
+def _predict(z, z1, g1, d1, z0, g0, d0):
+    """Cubic Hermite predictor at z through (z0, g0, g0') and (z1, g1, g1').
+
+    With h = z1 - z0 and s = (z - z0) / h the cubic is
+    (2s^3 - 3s^2 + 1) g0 + (s^3 - 2s^2 + s) h g0' + (3s^2 - 2s^3) g1
+    + (s^3 - s^2) h g1', with O(h^4) error against the secant's O(h^2)
+    (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 6). It is
+    trusted when it and the secant both lie in the admissible half-plane
+    and its correction to the secant is no larger than the secant's step
+    from g1; otherwise the start is g1. Next to a hard edge or an atom at
+    zero, where g ~ z^{-1/2}, the cubic can land in the admissible
+    half-plane but far off, and the secant outside it.
+    """
+    h = z1 - z0
+    s = (z - z0) / h
+    s2 = s * s
+    s3 = s2 * s
+    secant = g1 + (s - 1.0) * (g1 - g0)
+    cubic = ((2.0 * s3 - 3.0 * s2 + 1.0) * g0 + (s3 - 2.0 * s2 + s) * h * d0
+             + (3.0 * s2 - 2.0 * s3) * g1 + (s3 - s2) * h * d1)
+    trusted = (np.abs(cubic - secant).max() <= np.abs(secant - g1).max()
+               and not _wrong_half_plane(secant, z) and not _wrong_half_plane(cubic, z))
+    return cubic if trusted else g1  # a NaN slope is never trusted
 
 
 def _trial(z, guess, params, opts):
@@ -408,51 +442,61 @@ def _trial(z, guess, params, opts):
     finite with spectral radius below one: z then lies outside the support
     (Silverstein & Choi, 1995).
 
-    Returns (g, residual, evaluations, traces at g, Omega, rho(Omega)),
-    Omega and rho only at real z; g is None when the attempt stalls, starts
-    at a singular M, reaches the cap or is rejected. Evaluations count
-    either way.
+    Returns (g, residual, evaluations, traces at g, J, rho(Omega)). J is
+    Omega at real z and the corrector's last Jacobian at complex z, where
+    rho is NaN; g is None when the attempt stalls, starts at a singular M,
+    reaches the cap or is rejected. Evaluations count either way.
     """
-    omega, rho = None, float("nan")
+    rho = float("nan")
     with np.errstate(all="ignore"):
         try:
-            g, resid, evals, t, minv = _iterate(z, guess, params, opts, _TRIAL_EVALS)
+            g, resid, evals, t, jac, minv = _iterate(z, guess, params, opts, _TRIAL_EVALS)
         except NumericalSingularityError:  # M singular at the guess
             g, evals = None, 1
         if g is not None and z.imag:
             g = None if _violates_signs(z, g) else g
         elif g is not None:
-            omega = _psi_jacobian(t, minv, z, params)
-            rho = spectral_radius(omega) if np.isfinite(omega).all() else rho
+            if evals > 1:  # J is at the iterate before the final step
+                jac = _psi_jacobian(t, minv, z, params)
+            rho = spectral_radius(jac) if np.isfinite(jac).all() else rho
             g = g if rho < 1.0 else None
     if g is None:
         return None, float("nan"), evals, None, None, float("nan")
-    return g, resid, evals, t, omega, rho
+    return g, resid, evals, t, jac, rho
 
 
 def _ladder(z, params, opts):
-    """Continuation in Im z from _CONTINUATION_START_IM down to Im z; the
-    evaluations of rejected levels count in the returned total."""
+    """Continuation in Im z from _CONTINUATION_START_IM down to Im z.
+
+    The second level starts from the first level's g, every later one from
+    `_predict` through the last two levels and their slopes
+    g' = c0 (I - J)^{-1} g^2, J the Jacobian each level's corrector built.
+    The evaluations of rejected levels count in the returned total.
+    Returns (g, residual, evaluations, traces at g, J) of the last level.
+    """
     target = abs(z.imag)
     z1 = complex(z.real, np.copysign(max(_CONTINUATION_START_IM, target), z.imag))
-    g1, resid, total, t, _ = _iterate(z1, initial_guess(z1, params), params, opts)
-    z0 = g0 = None
+    g1, resid, total, t, jac = _iterate(z1, initial_guess(z1, params), params, opts)[:5]
+    d1 = _g_prime(jac, g1, z1, params)
+    z0 = g0 = d0 = None
     ratio = _LADDER_RATIO
     while abs(z1.imag) > target * (1.0 + 1e-12):
         eta = abs(z1.imag) / ratio
         eta = eta if eta > target * (1.0 + 1e-12) else target
         z_next = complex(z.real, np.copysign(eta, z.imag))
-        guess = g1 if z0 is None else _secant_guess(z_next, z1, g1, z0, g0)
+        guess = g1 if z0 is None else _predict(z_next, z1, g1, d1, z0, g0, d0)
         step = _trial if ratio > _LADDER_RATIO else _iterate
-        g, resid_n, evals, t_n = step(z_next, guess, params, opts)[:4]
+        g, resid_n, evals, t_n, jac_n = step(z_next, guess, params, opts)[:5]
         total += evals
         if g is None:
             ratio = max(np.sqrt(ratio), _LADDER_RATIO)  # reject the level
             continue
-        z0, g0, z1, g1, resid, t = z1, g1, z_next, g, resid_n, t_n
+        z0, g0, d0 = z1, g1, d1
+        z1, g1, resid, t, jac = z_next, g, resid_n, t_n, jac_n
+        d1 = _g_prime(jac, g1, z1, params)
         if evals <= _LADDER_QUICK:
             ratio *= _LADDER_GROWTH
-    return g1, resid, total, t
+    return g1, resid, total, t, jac
 
 
 def _solve_complex(z, params, opts, warm_start=None):
@@ -460,11 +504,11 @@ def _solve_complex(z, params, opts, warm_start=None):
     continuation ladder; the evaluations of both count."""
     spent = 0
     if warm_start is not None:
-        g, resid, spent, t, _, _ = _trial(z, warm_start, params, opts)
+        g, resid, spent, t, jac, _ = _trial(z, warm_start, params, opts)
         if g is not None:
-            return g, resid, spent, t
-    g, resid, total, t = _ladder(z, params, opts)
-    return g, resid, spent + total, t
+            return g, resid, spent, t, jac
+    g, resid, total, t, jac = _ladder(z, params, opts)
+    return g, resid, spent + total, t, jac
 
 
 def _solve_real(x, params, opts, warm_start=None):
@@ -473,10 +517,10 @@ def _solve_real(x, params, opts, warm_start=None):
     Im z = _REAL_AXIS_ETA_FLOOR and one more trial from the real part of
     its g. Both trials are certified by rho(Omega(x, x)) < 1."""
     g0 = initial_guess(x, params).real if warm_start is None else warm_start.real
-    g, resid, total, t, _, _ = _trial(x, g0, params, opts)
+    g, resid, total, t, omega, _ = _trial(x, g0, params, opts)
     if g is None:
-        g_eta, _, spent, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts)
-        g, resid, evals, t, _, _ = _trial(x, g_eta.real, params, opts)
+        g_eta, _, spent, _, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts)
+        g, resid, evals, t, omega, _ = _trial(x, g_eta.real, params, opts)
         total += spent + evals
         if g is None:
             raise ConsistencyError(
@@ -487,7 +531,7 @@ def _solve_real(x, params, opts, warm_start=None):
         raise ConsistencyError(
             f"real-axis solve at z={x} lost positivity of c0 g_a"
         )
-    return g.astype(complex), resid, total, t
+    return g.astype(complex), resid, total, t, omega
 
 
 def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
@@ -517,27 +561,31 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
                 f"warm start has shape {warm_start.shape}, expected ({params.k},)"
             )
     if z.imag == 0.0:
-        g, resid, evals, t = _solve_real(z.real, params, opts, warm_start)
+        g, resid, evals, t, jac = _solve_real(z.real, params, opts, warm_start)
     else:
-        g, resid, evals, t = _solve_complex(z, params, opts, warm_start)
+        g, resid, evals, t, jac = _solve_complex(z, params, opts, warm_start)
         _check_admissible(z, g, params)
+    _last_solve.jac = jac
     return _finish(z, g, resid, evals, t, params)
 
 
 def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     """Predictor-corrector sweep over an ordered list of complex points.
 
-    Point i+1 starts from the secant predictor
-    g_i + (z_{i+1} - z_i) / (z_i - z_{i-1}) (g_i - g_{i-1}), scaled by the
-    actual spacings so that non-uniform grids are followed too; the second
-    point starts from the first point's solution. The first point, and any
-    point whose warm start solve_g rejects (it stalls within _TRIAL_EVALS
-    evaluations or lands outside the admissible half-plane), goes through
-    the continuation ladder inside solve_g. A prediction on the wrong
-    half-plane is replaced by the previous solution. The predictor only
-    moves the starting guess: each point is certified by its own residual
-    and half-plane signs. Real grid points are rejected: evaluating on the
-    axis requires an explicit eta (see the spectrum module).
+    Point i+1 (i >= 1) starts from `_predict`, the cubic Hermite predictor
+    through (z_{i-1}, g_{i-1}, g'_{i-1}) and (z_i, g_i, g'_i), in the actual
+    spacings so that non-uniform grids are followed too; the second point
+    starts from the first point's solution. Each slope is
+    g' = c0 (I - J)^{-1} g^2 with J the Jacobian of Psi that the point's own
+    corrector built, so it costs one k x k solve and no evaluation. A
+    prediction the predictor does not trust is replaced by the previous
+    solution. The first point, and any point whose warm start is rejected
+    (it stalls within _TRIAL_EVALS evaluations or lands outside the
+    admissible half-plane), goes through the continuation ladder. The
+    predictor only moves the starting guess: each point is certified by its
+    own residual and half-plane signs. Real grid points are rejected:
+    evaluating on the axis requires an explicit eta (see the spectrum
+    module).
     """
     zs = [complex(zv) for zv in zs]
     if not zs:
@@ -549,13 +597,14 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     opts = opts or DEFAULT_OPTIONS
     params = _require_validated(params)
     points = []
-    warm = None
+    warm = slope = prev_slope = None
     for i, zv in enumerate(zs):
         if i >= 2 and points[-1].z != points[-2].z:
             last, prev = points[-1], points[-2]
-            warm = _secant_guess(zv, last.z, last.g, prev.z, prev.g)
+            warm = _predict(zv, last.z, last.g, slope, prev.z, prev.g, prev_slope)
         try:
             point = solve_g(zv, params, opts, warm_start=warm)
+            prev_slope, slope = slope, _g_prime(_last_solve.jac, point.g, zv, params)
         except SpecbulkError as exc:
             # annotate in place: the exception keeps its type and fields
             exc.args = (f"grid index {i} (z={zv}): {exc}",)

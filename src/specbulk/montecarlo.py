@@ -237,8 +237,13 @@ class SampleSpectral:
 
 
 def _pooled_eigenvalues(params, trials, seed, workers=1):
+    """The Gram spectrum of each trial's draw, on min(workers, trials)
+    threads; the result does not depend on the thread count."""
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    if workers <= 1:
+    workers = min(workers, trials)
+    if workers == 1:
         return [sample_w(params, s).eigenvalues_wtw for s in seeds]
     _sqrt_covs(params)  # built once, before the threads share it
     with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -139,6 +139,19 @@ class TestSimulateCommand:
                      "--workers", "2"]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("reports", [True, False], ids=["reports", "grid-only"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_config_error(self, tmp_path, capsys, workers, reports):
+        payload = self._config(trials=3)
+        if not reports:  # no Monte Carlo report takes the workers
+            del payload["simulate"]["histogram"], payload["simulate"]["outliers"]
+        cfg = _write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     f"--workers={workers}"]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_failed_assertion_exit_code(self, tmp_path, capsys):
         # an unattainable histogram threshold must trip exit code 3
         # (outlier distances can be exactly zero, so they make a poor trap)

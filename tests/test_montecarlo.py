@@ -13,6 +13,7 @@ from helpers import (
 
 from specbulk.equivalents import first_order
 from specbulk.errors import NumericalSingularityError, ValidationError
+from specbulk import montecarlo as mc
 from specbulk.fixed_point import solve_g
 from specbulk.model import (
     CovarianceSpec,
@@ -373,6 +374,26 @@ class TestPooledTrials:
                                          workers=workers).to_dict() == report
         finally:
             sys.setswitchinterval(interval)
+
+    def test_pool_sized_by_trials(self, two_class_small, monkeypatch):
+        # four workers for three trials start three threads and report what
+        # one worker reports
+        sizes = []
+
+        class Recording(mc.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+        serial = norm_bound_report(two_class_small, 3, seed=5, workers=1).to_dict()
+        assert norm_bound_report(two_class_small, 3, seed=5, workers=4).to_dict() == serial
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, two_class_small, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            norm_bound_report(two_class_small, 3, seed=5, workers=workers)
 
 
 class TestReportStructure:
