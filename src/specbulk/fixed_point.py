@@ -384,6 +384,11 @@ def _check_admissible(z, g, params: ModelParams):
             f"solution at z={z} violates half-plane sign constraints "
             f"(min Im g = {img.min():.3e})"
         )
+    _check_bound(z, g, params)
+
+
+def _check_bound(z, g, params: ModelParams):
+    """c0 |g_a| <= 1/|Im z|, which `_trial` leaves unchecked."""
     bound = 1.0 / abs(z.imag)
     if np.any(params.c0 * np.abs(g) > bound * (1.0 + 1e-8)):
         raise ConsistencyError(
@@ -501,13 +506,16 @@ def _ladder(z, params, opts):
 
 def _solve_complex(z, params, opts, warm_start=None):
     """A trial from the warm start, else (or when it is rejected) the
-    continuation ladder; the evaluations of both count."""
+    continuation ladder; the evaluations of both count. A trial has checked
+    the signs; the ladder's last level may be a plain `_iterate`."""
     spent = 0
     if warm_start is not None:
         g, resid, spent, t, jac, _ = _trial(z, warm_start, params, opts)
         if g is not None:
+            _check_bound(z, g, params)
             return g, resid, spent, t, jac
     g, resid, total, t, jac = _ladder(z, params, opts)
+    _check_admissible(z, g, params)
     return g, resid, spent + total, t, jac
 
 
@@ -564,7 +572,6 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
         g, resid, evals, t, jac = _solve_real(z.real, params, opts, warm_start)
     else:
         g, resid, evals, t, jac = _solve_complex(z, params, opts, warm_start)
-        _check_admissible(z, g, params)
     _last_solve.jac = jac
     return _finish(z, g, resid, evals, t, params)
 

@@ -342,6 +342,23 @@ def _dense(op, params: ModelParams) -> np.ndarray:
     return out
 
 
+def _in_form(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """A p x m matrix x in the orthogonal basis of the model's form: U^T x
+    (x with no basis), a (1, p, m) view of x, or the (2, b, m) even and odd
+    parts (x_i +/- x_{p-1-i}) / sqrt 2, the odd one of an odd p padded."""
+    if params.blocks is None:
+        return x if params.basis is None else params.basis.T @ x
+    if params.blocks.shape[1] == 1:
+        return x[None]
+    h = params.p // 2
+    top, bottom = x[:h], x[::-1][:h]
+    out = np.zeros((2, params.p - h, x.shape[1]))
+    out[0, :h] = (top + bottom) / np.sqrt(2.0)
+    out[1, :h] = (top - bottom) / np.sqrt(2.0)
+    out[0, h:] = x[h:params.p - h]  # row h of an odd p
+    return out
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Size-free model description: class fractions plus covariance specs.

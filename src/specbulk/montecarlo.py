@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fixed_point import _dense, solve_g
-from .model import ModelParams, ModelSpec
+from .model import ModelParams, ModelSpec, _in_form
 from .spectrum import DensityGrid
 
 _ZERO_EIG_REL = 1e-12
@@ -151,60 +151,46 @@ def zero_eigenvalue_count(sample: EnsembleSample) -> int:
 class SampleSpectral:
     """Spectral cache of one sample: evaluate resolvent statistics at any z.
 
-    Uses the thin SVD W = U s V^T. Functions of W^T W use V plus the
-    (n - r)-fold zero eigenvalue; functions of W W^T use U plus the
-    (p - r)-fold zero eigenvalue.
+    Uses one eigh of the Gram matrix W^T W = V diag(lam) V^T. V is a full
+    n x n basis, so functions of W^T W are sums over lam. Functions of W W^T
+    go through the push-through identity Qt_z = -(I_p - W Q_z W^T) / z: with
+    X = W V, they need only the weights d[a, m] = (X^T C_a X)_mm, taken in
+    the model's basis (`model._in_form`) from the stored spectra or blocks.
     """
 
     def __init__(self, sample: EnsembleSample, params: ModelParams):
         self.params = params
         w = sample.w
-        u, s, vt = np.linalg.svd(w, full_matrices=False)
-        self.u = u
-        self.vt = vt
-        self.lam = s**2
-        self.p, self.n = w.shape
+        lam, v = np.linalg.eigh(w.T @ w)
+        self.vt = v.T
+        self.lam = np.clip(lam, 0.0, None)
+        self.p = w.shape[0]
         # per-class row masses of V: rowsq[a, m] = sum_{i in class a} V[i, m]^2
-        slices = params.class_slices()
-        self.rowsq = np.stack(
-            [np.sum(vt[:, sl] ** 2, axis=1) for sl in slices]
-        )
-        self._diag_ucu = {}
+        self.rowsq = np.stack([np.sum(v[sl] ** 2, axis=0) for sl in params.class_slices()])
+        x = _in_form(w @ v, params)
+        # class by class: batched (k, m, b, n) temporaries raised the peak RSS of later reports
+        self.d = (params.spectra @ x**2 if params.blocks is None
+                  else np.array([np.sum((b @ x) * x, axis=(0, 1)) for b in params.blocks]))
 
     def _f(self, z):
         return 1.0 / (self.lam - z)
 
-    def diag_ucu(self, a: int):
-        """diag(U^T C_a U) for class a, cached."""
-        if a not in self._diag_ucu:
-            cov = self.params.covariances[a]
-            self._diag_ucu[a] = np.sum((cov @ self.u) * self.u, axis=0)
-        return self._diag_ucu[a]
-
     def trace_q_class(self, z, a: int) -> complex:
         """tr D_a Q_z (class-a block trace of the Gram resolvent)."""
-        f = self._f(z)
-        mass = self.rowsq[a]
-        extra = self.params.class_sizes[a] - mass.sum()
-        return complex(f @ mass + (-1.0 / z) * extra)
+        return complex(self._f(z) @ self.rowsq[a])
 
     def trace_q(self, z) -> complex:
-        f = self._f(z)
-        return complex(f.sum() + (-1.0 / z) * (self.n - self.lam.size))
+        return complex(self._f(z).sum())
 
     def bilinear_q(self, z, d1: np.ndarray, d2: np.ndarray) -> complex:
         """d1^T Q_z d2."""
         a1 = self.vt @ d1
         a2 = self.vt @ d2
-        f = self._f(z)
-        return complex((f * a1) @ a2 + (-1.0 / z) * (d1 @ d2 - a1 @ a2))
+        return complex((self._f(z) * a1) @ a2)
 
     def trace_q_pair_class(self, z1, z2, a: int) -> complex:
         """tr D_a Q_{z1} Q_{z2}."""
-        f = self._f(z1) * self._f(z2)
-        mass = self.rowsq[a]
-        extra = self.params.class_sizes[a] - mass.sum()
-        return complex(f @ mass + (1.0 / (z1 * z2)) * extra)
+        return complex((self._f(z1) * self._f(z2)) @ self.rowsq[a])
 
     def trace_qt(self, z) -> complex:
         f = self._f(z)
@@ -212,17 +198,12 @@ class SampleSpectral:
 
     def trace_qt_cov(self, z, a: int) -> complex:
         """tr C_a Qt_z."""
-        d = self.diag_ucu(a)
-        f = self._f(z)
-        tr_cov = float(np.trace(self.params.covariances[a]))
-        return complex(f @ d + (-1.0 / z) * (tr_cov - d.sum()))
+        return complex(-(self.params.eigenvalues[a].sum() - self._f(z) @ self.d[a]) / z)
 
     def trace_qt_cov_pair(self, z1, z2, a: int) -> complex:
         """tr C_a Qt_{z1} Qt_{z2} (same covariance insertion, two points)."""
-        d = self.diag_ucu(a)
-        f = self._f(z1) * self._f(z2)
-        tr_cov = float(np.trace(self.params.covariances[a]))
-        return complex(f @ d + (1.0 / (z1 * z2)) * (tr_cov - d.sum()))
+        f = (self.lam - z1 - z2) * self._f(z1) * self._f(z2)
+        return complex((self.params.eigenvalues[a].sum() - f @ self.d[a]) / (z1 * z2))
 
     def trace_wt_qt_pair_w_class(self, z1, z2, a: int) -> complex:
         """tr(D_a W^T Qt_{z1} Qt_{z2} W); zero modes of W W^T contribute nothing."""

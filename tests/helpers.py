@@ -49,6 +49,26 @@ def mp_params(c0_num, c0_den, p=16):
     )
 
 
+def form_models():
+    """One small validated model for each way `validate_model` stores the
+    covariances, named by that form."""
+    toep = build_covariance(CovarianceSpec("toeplitz", scale=2.0, rho=0.5), 40)
+    rank32 = np.diag(np.r_[np.linspace(0.5, 2.0, 32), np.zeros(32)])
+    one_block = (np.diag(np.linspace(0.5, 2.0, 48)),
+                 build_covariance(CovarianceSpec("toeplitz", scale=1.0, rho=0.3), 48))
+    return {
+        "two_blocks_even": threeclass_params(64),
+        "two_blocks_odd": threeclass_odd_params(),
+        "basis_k1": validate_model(ModelParams(p=40, class_sizes=(24,), covariances=(toep,))),
+        "identity_p_below_n": mp_params(1, 2, p=16),
+        # p < n and one class of rank 32: both resolvents see zero modes
+        "diagonal_singular": validate_model(ModelParams(
+            p=64, class_sizes=(40, 56), covariances=(np.eye(64), rank32))),
+        "one_block": validate_model(ModelParams(p=48, class_sizes=(12, 24),
+                                                covariances=one_block)),
+    }
+
+
 def dense_reference(params):
     """The same validated model with its joint spectra and basis cleared and
     its covariances as one p x p block each, so that every kernel works on

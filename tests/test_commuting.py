@@ -9,7 +9,7 @@ both, so the same model goes through one dense p x p block.
 import numpy as np
 import pytest
 
-from helpers import dense_reference, threeclass_odd_params, threeclass_params
+from helpers import dense_reference, form_models, threeclass_odd_params, threeclass_params
 
 from specbulk.equivalents import first_order, log_det_functional, second_order
 from specbulk.fixed_point import SolverOptions, _trace_terms, g_derivative, solve_g
@@ -17,6 +17,7 @@ from specbulk.model import (
     CovarianceSpec,
     ModelParams,
     _dense,
+    _in_form,
     build_covariance,
     validate_model,
 )
@@ -313,3 +314,36 @@ class TestStoredFormEigenvalues:
         assert form.startswith(_stored_form(params))
         atom = atom_at_zero(params)
         assert atom == atom_at_zero(dense_reference(params)) == 1.0 - rank / params.n
+
+
+FORM_MODELS = form_models()
+
+
+@pytest.mark.parametrize("name", sorted(FORM_MODELS))
+class TestInForm:
+    """`_in_form` writes p x m matrices in the basis of the stored form."""
+
+    def _columns(self, params):
+        return np.random.default_rng(params.p).standard_normal((params.p, 7))
+
+    def test_weights_from_stored_form(self, name):
+        # diag(X^T C_a X) from the stored spectra or blocks, against the
+        # dense covariances
+        params = FORM_MODELS[name]
+        x = self._columns(params)
+        y = _in_form(x, params)
+        if params.blocks is None:
+            weights = params.spectra @ y**2
+        else:
+            weights = np.sum((params.blocks @ y) * y, axis=(1, 2))
+        dense = np.einsum("im,aij,jm->am", x, np.stack(params.covariances), x)
+        assert weights.shape == (params.k, 7)
+        assert _close(weights, dense)
+
+    def test_orthogonal(self, name):
+        # column norms survive the transform, the zero pad of an odd p included
+        params = FORM_MODELS[name]
+        x = self._columns(params)
+        y = _in_form(x, params)
+        norms = np.sum(y**2, axis=tuple(range(y.ndim - 1)))
+        assert _close(norms, np.sum(x**2, axis=0))

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     empirical_resolvents,
+    form_models,
     mp_params,
     mp_spec,
     threeclass_odd_params,
@@ -46,6 +47,16 @@ def two_class_small():
     return validate_model(
         ModelParams(p=32, class_sizes=(8, 8), covariances=(cov1, cov2))
     )
+
+
+# one model per stored covariance form
+FORM_MODELS = form_models()
+
+
+def _spectral_model(name, request):
+    if name == "two_class_small":
+        return request.getfixturevalue(name)
+    return FORM_MODELS[name]
 
 
 class TestSampling:
@@ -197,41 +208,52 @@ class TestEmpiricalResolvents:
         with pytest.raises(NumericalSingularityError, match="complex shift"):
             empirical_resolvents(s, z_mid)
 
-    def test_spectral_cache_matches_dense(self, two_class_small):
-        s = sample_w(two_class_small, 10)
-        sp = SampleSpectral(s, two_class_small)
+    @pytest.mark.parametrize("name", ["two_class_small", *FORM_MODELS])
+    def test_spectral_cache_matches_dense(self, name, request):
+        params = _spectral_model(name, request)
+        s = sample_w(params, 10)
+        sp = SampleSpectral(s, params)
         for z in (2j, -1.5 + 0j, 0.4 - 0.9j):
             q, qt = empirical_resolvents(s, z)
             assert abs(sp.trace_q(z) - np.trace(q)) <= 1e-9 * abs(np.trace(q))
             assert abs(sp.trace_qt(z) - np.trace(qt)) <= 1e-9 * abs(np.trace(qt))
-            slices = two_class_small.class_slices()
+            slices = params.class_slices()
             for a, sl in enumerate(slices):
                 block = np.trace(q[sl, sl])
                 assert abs(sp.trace_q_class(z, a) - block) <= 1e-9 * max(abs(block), 1)
-                cov_tr = np.trace(two_class_small.covariances[a] @ qt)
+                cov_tr = np.trace(params.covariances[a] @ qt)
                 assert abs(sp.trace_qt_cov(z, a) - cov_tr) <= 1e-9 * max(abs(cov_tr), 1)
             rng = np.random.default_rng(0)
-            d1 = rng.standard_normal(two_class_small.n)
-            d2 = rng.standard_normal(two_class_small.n)
+            d1 = rng.standard_normal(params.n)
+            d2 = rng.standard_normal(params.n)
             assert abs(sp.bilinear_q(z, d1, d2) - d1 @ q @ d2) <= 1e-9
 
-    def test_pair_traces_match_dense(self, two_class_small):
-        s = sample_w(two_class_small, 11)
-        sp = SampleSpectral(s, two_class_small)
+    @pytest.mark.parametrize("name", ["two_class_small", *FORM_MODELS])
+    def test_pair_traces_match_dense(self, name, request):
+        params = _spectral_model(name, request)
+        s = sample_w(params, 11)
+        sp = SampleSpectral(s, params)
         z1, z2 = 2j, -1.0 + 0j
         q1, qt1 = empirical_resolvents(s, z1)
         q2, qt2 = empirical_resolvents(s, z2)
-        slices = two_class_small.class_slices()
+        slices = params.class_slices()
         for a, sl in enumerate(slices):
-            d_a = np.zeros((two_class_small.n, two_class_small.n))
+            d_a = np.zeros((params.n, params.n))
             d_a[sl, sl] = np.eye(sl.stop - sl.start)
             dense = np.trace(d_a @ q1 @ q2)
             assert abs(sp.trace_q_pair_class(z1, z2, a) - dense) <= 1e-9 * max(abs(dense), 1)
-            cov = two_class_small.covariances[a]
+            cov = params.covariances[a]
             dense_qt = np.trace(cov @ qt1 @ qt2)
             assert abs(sp.trace_qt_cov_pair(z1, z2, a) - dense_qt) <= 1e-9 * max(abs(dense_qt), 1)
             dense_w = np.trace(d_a @ s.w.T @ qt1 @ qt2 @ s.w)
             assert abs(sp.trace_wt_qt_pair_w_class(z1, z2, a) - dense_w) <= 1e-9 * max(abs(dense_w), 1)
+
+    def test_cache_takes_no_svd(self, monkeypatch):
+        # one eigh of the n x n Gram matrix builds the cache
+        params = threeclass_params(64)
+        sample = sample_w(params, 12)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("svd"))
+        SampleSpectral(sample, params)
 
 
 class TestConvergenceReport:
