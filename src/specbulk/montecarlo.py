@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,13 @@ class EnsembleSample:
 
     seed: int
     w: np.ndarray
-    eigenvalues_wtw: np.ndarray
+
+    @cached_property
+    def eigenvalues_wtw(self) -> np.ndarray:
+        """Ascending eigenvalues of W^T W, clipped at zero; taken on first read."""
+        eigs = np.clip(np.linalg.eigvalsh(self.w.T @ self.w), 0.0, None)
+        eigs.setflags(write=False)
+        return eigs
 
 
 @dataclass(frozen=True)
@@ -135,11 +142,8 @@ def sample_w(params: ModelParams, seed: int) -> EnsembleSample:
     for root, sl in zip(roots, params.class_slices()):
         blocks.append(root[:, None] * z[:, sl] if root.ndim == 1 else root @ z[:, sl])
     w = np.concatenate(blocks, axis=1) / np.sqrt(p)
-    eigs = np.linalg.eigvalsh(w.T @ w)
-    eigs = np.clip(eigs, 0.0, None)
     w.setflags(write=False)
-    eigs.setflags(write=False)
-    return EnsembleSample(seed=int(seed), w=w, eigenvalues_wtw=eigs)
+    return EnsembleSample(seed=int(seed), w=w)
 
 
 def zero_eigenvalue_count(sample: EnsembleSample) -> int:

@@ -4,10 +4,10 @@ The density at x is (1/pi) Im m(x + i eta) for small eta > 0. The support
 is the complement of the points certified to lie outside it: a real x is
 outside when the fixed-point system has a real solution there whose
 kernel Omega(x, x) has spectral radius below one (the real-axis
-characterisation of Silverstein & Choi, 1995). Each support edge is
-located from the outside, where 1 - rho(Omega(x, x)) vanishes like the
-square root of the distance to the edge. The atom at zero is 1 - rank(W)/n,
-with the generic rank of W counted from the class covariances.
+characterisation of Silverstein & Choi, 1995). These real solutions form
+one arc per gap, and the gap's edges are the folds of its arc, where
+rho(Omega(x, x)) reaches one. The atom at zero is 1 - rank(W)/n, with the
+generic rank of W counted from the class covariances.
 """
 from __future__ import annotations
 
@@ -19,25 +19,22 @@ import numpy as np
 
 from .errors import NumericalSingularityError, ValidationError
 from .fixed_point import (
+    _LADDER_QUICK,
+    _TRIAL_EVALS,
     DEFAULT_OPTIONS,
     SolverOptions,
-    _g_prime,
+    _psi_eval,
+    _psi_jacobian,
     _trial,
     solve_g,
     solve_grid,
 )
 from .model import ModelParams
 
-# grid values below this fraction of the peak are candidates for lying
-# outside the support
+# grid values below this fraction of the peak are candidates for lying outside the support
 _SUSPECT_FRACTION = 0.05
-# edge refinement: each step moves to within this fraction of the remaining
-# distance to the extrapolated edge, until that distance (or the bracket
-# left by a failed certificate) is below _EDGE_XTOL (1 + |edge|) or
-# _EDGE_STEPS steps have been made
-_EDGE_APPROACH = 0.1
-_EDGE_STEPS = 40
-_EDGE_XTOL = 1e-9
+# an arc step landing further than this fraction of the step from its prediction has jumped
+_ARC_DRIFT = 0.5
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class DensityGrid:
     zero, the atom's smoothing kernel atom * (eta/pi) / (x^2 + eta^2) is
     subtracted so that atom_at_zero + integral(density) is the total mass.
     g holds the solved g_a(x + i eta), one row per grid point; support
-    detection starts its real-axis solves from it.
+    detection starts the real-axis solves that seed its arcs from it.
     """
 
     xs: np.ndarray
@@ -105,24 +102,19 @@ def atom_at_zero(params: ModelParams) -> float:
     return 1.0 - best / params.n
 
 
-def _runs(mask) -> list[tuple[int, int]]:
-    """Maximal runs of True as (first, last) index pairs."""
-    flips = np.flatnonzero(np.diff(np.r_[False, mask, False]))
-    return list(zip(flips[::2], flips[1::2] - 1))
-
-
 def support_detect(grid: DensityGrid):
     """Support of the measure as disjoint closed intervals.
 
-    The support is the complement of the certified outside set. Grid
-    points whose density is below 5% of the peak are the candidates; such
-    a point counts as outside only when a real-axis Newton solve, started
-    from the real part of the grid solution, returns a real fixed point
-    with rho(Omega(x, x)) < 1 (points at x <= 0 are outside outright: the
-    Gram matrix is positive semidefinite and the atom at zero is reported
-    separately). Every other point is in the support. Each edge is then
-    located from the outside, where 1 - rho(Omega(x, x)) vanishes like
-    sqrt(|x - edge|).
+    Grid points whose density is below 5% of the peak are the candidates.
+    A candidate is certified outside when a real-axis Newton solve, started
+    from the real part of the grid solution, returns a real fixed point with
+    rho(Omega(x, x)) < 1. The arc of real solutions through it is traced both
+    ways to its folds, the edges of its gap; candidates in a traced gap get
+    no solve of their own. No side is traced toward a neighbour at x <= 0 or
+    off the grid. The support is the complement of the traced gaps and of
+    x <= 0 (the Gram matrix is positive semidefinite; the atom at zero is
+    reported separately) within the grid. A gap that holds no candidate
+    grid point is missed.
     """
     xs = np.asarray(grid.xs, dtype=float)
     if xs.size == 0:
@@ -134,121 +126,124 @@ def support_detect(grid: DensityGrid):
     return _certified_support(grid, xs, dens < _SUSPECT_FRACTION * peak)
 
 
-@dataclass(frozen=True)
-class _RealPoint:
-    """A certified real-axis point outside the support."""
-
-    x: float
-    g: np.ndarray
-    g_prime: np.ndarray  # dg/dx = c0 (I - Omega)^{-1} g^2
-    gap: float  # 1 - rho(Omega(x, x))
-
-
-def _certify(x, g0, params: ModelParams, opts) -> _RealPoint | None:
-    """x as a point outside the support when the real-axis trial of
-    `fixed_point._trial` from g0 converges with rho(Omega(x, x)) < 1, else
-    None (x is not certified to lie outside the support)."""
-    g, _, _, _, omega, rho = _trial(x, g0, params, opts)
-    if g is None:
-        return None
-    try:
-        g_prime = _g_prime(omega, g, x, params)
-    except NumericalSingularityError:
-        return None
-    return _RealPoint(x=float(x), g=g, g_prime=g_prime, gap=1.0 - rho)
+def _tangent(dh, u, ref):
+    """Weights w of the coordinates at u = (g, x), with g_a in units of
+    |g_a| / (1 + |x|) so that a fold is as sharp in g as in x, and the arc's
+    tangent there: the null vector of the derivative dh of H, of unit length
+    in the norm |w * .|, on the side of the direction ref."""
+    w = np.r_[(1.0 + abs(u[-1])) / np.abs(u[:-1]), 1.0]
+    null = np.linalg.svd(dh / w)[2][-1]
+    return (null if null @ (w * ref) >= 0.0 else -null) / w, w
 
 
-def _extrapolate_edge(near: _RealPoint, far: _RealPoint):
-    """Edge where the line through (x, gap^2) of two outside points hits 0.
-
-    None when gap^2 does not grow from `near` to `far`, the point further
-    from the support.
+def _arc_point(u, tangent, w, s, params, opts):
+    """The point v of the arc H(g, x) = g - Psi(g; x) = 0 on the hyperplane
+    (w^2 tangent) . (v - u) = s, by Newton's method on the bordered system
+    from u + s tangent. Returns (v, dH at v, evaluations), with
+    dH = [I - J, -c0 Psi^2] as dPsi_a/dx = c0 Psi_a^2; v is None when the
+    corrector stalls or does not reach tol within _TRIAL_EVALS evaluations.
     """
-    d2 = far.gap**2 - near.gap**2
-    if not d2 > 0.0:
-        return None
-    return near.x - near.gap**2 * (far.x - near.x) / d2
+    k = params.k
+    v = u + s * tangent
+    normal = w * w * tangent
+    last = np.inf
+    for evals in range(1, _TRIAL_EVALS + 1):
+        try:
+            f, resid, t, minv = _psi_eval(v[:k], v[k], params)
+            if not resid < last:
+                break
+            last = resid
+            dh = np.hstack([np.eye(k) - _psi_jacobian(t, minv, v[k], params),
+                            -params.c0 * f[:, None] ** 2])
+            if resid <= opts.tol:
+                return v, dh, evals
+            v = v - np.linalg.solve(np.vstack([dh, normal]),
+                                    np.r_[v[:k] - f, normal @ (v - u) - s])
+        except (NumericalSingularityError, np.linalg.LinAlgError):
+            break
+    return None, None, evals
 
 
-def _refine_edge(near: _RealPoint, far: _RealPoint, params, opts) -> float:
-    """Walk from the certified point `near` toward the support edge beyond it.
+def _trace_edge(u, dh, toward, bound, h, params, opts) -> float:
+    """The x where the arc through the certified point u = (g, x) folds on
+    the side `toward` (+1 or -1), or `bound` when the arc passes it first.
 
-    `far` lies further from the support. Each step extrapolates the edge
-    from the two certified points nearest to it and tries to certify a
-    point a fraction of the remaining distance short of that estimate,
-    warm-started by the square-root predictor g(x) ~ g_edge + a sqrt(|x -
-    edge|). A point that fails to certify bounds the edge from the support
-    side; an estimate past that bound is replaced by bisection.
+    Pseudo-arclength continuation (Allgower & Georg, Numerical Continuation
+    Methods, 1990) in the weighted norm of `_tangent`: step h along the
+    tangent, doubled after a corrector that converged within _LADDER_QUICK
+    Newton steps and halved after a rejected step. A step is rejected when
+    its corrector fails, or as a jump onto another arc when it lands more
+    than _ARC_DRIFT h from its prediction. The arc folds where the
+    tangent's x-component changes sign. A trace whose step falls below
+    opts.tol (1 + |x|) ends at the last point reached.
     """
-    bad = None
-    edge = _extrapolate_edge(near, far)
-    for _ in range(_EDGE_STEPS):
-        if edge is None:
+    k = params.k
+    tangent, w = _tangent(dh, u, toward * np.eye(k + 1)[k])
+    while toward * (bound - u[k]) > 0.0:
+        v, dh_v, evals = _arc_point(u, tangent, w, h, params, opts)
+        if v is None or np.linalg.norm(w * (v - u - h * tangent)) > _ARC_DRIFT * h:
+            h *= 0.5
+            if h <= opts.tol * (1.0 + abs(u[k])):
+                break
+            continue
+        tangent_v, w_v = _tangent(dh_v, v, tangent)
+        if toward * tangent_v[k] <= 0.0:
+            fold = _fold(u, tangent, w, h, tangent_v[k], toward, params, opts)
+            return toward * min(toward * bound, fold)
+        u, tangent, w = v, tangent_v, w_v
+        if evals - 1 <= _LADDER_QUICK:  # Newton steps after the prediction
+            h *= 2.0
+    return toward * min(toward * bound, toward * u[k])
+
+
+def _fold(u, tangent, w, h, turned, toward, params, opts) -> float:
+    """toward * x at the fold within the step h from u, past which the
+    tangent's x-component is `turned`: the Illinois secant (modified regula
+    falsi) on that component as a function of the step, until it is below
+    sqrt(opts.tol), where x is within about opts.tol of the fold. Returns the
+    furthest of the arc's points, which lie on the gap's side of the fold."""
+    k = params.k
+    lo, f_lo, hi, f_hi = 0.0, toward * tangent[k], h, toward * turned
+    best, side = toward * u[k], 0
+    while lo < (s := lo + f_lo * (hi - lo) / (f_lo - f_hi)) < hi:
+        v, dh_v, _ = _arc_point(u, tangent, w, s, params, opts)
+        if v is None:
             break
-        if bad is not None and (edge - near.x) * (edge - bad) >= 0.0:
-            edge = None  # the estimate is past a point known not to certify
-            x_new = 0.5 * (near.x + bad)
-        elif abs(near.x - edge) <= _EDGE_XTOL * (1.0 + abs(edge)):
+        f = toward * _tangent(dh_v, v, tangent)[0][k]
+        best = max(best, toward * v[k])
+        if f > 0.0:  # an end kept twice in a row has its value halved
+            lo, f_lo, f_hi = s, f, f_hi * (0.5 if side > 0 else 1.0)
+        else:
+            hi, f_hi, f_lo = s, f, f_lo * (0.5 if side < 0 else 1.0)
+        side = 1 if f > 0.0 else -1
+        if abs(f) <= np.sqrt(opts.tol):
             break
-        else:
-            x_new = edge + _EDGE_APPROACH * (near.x - edge)
-        if abs(x_new - near.x) <= _EDGE_XTOL * (1.0 + abs(near.x)):
-            break
-        # square-root predictor about the extrapolated edge, or the tangent
-        if edge is not None:
-            dist = near.x - edge
-            g0 = near.g + 2.0 * dist * near.g_prime * (
-                np.sqrt((x_new - edge) / dist) - 1.0)
-        else:
-            g0 = near.g + (x_new - near.x) * near.g_prime
-        point = _certify(x_new, g0, params, opts)
-        if point is None:
-            bad = x_new
-        else:
-            near, far = point, near
-        edge = _extrapolate_edge(near, far)
-    if edge is None or (bad is not None and (edge - near.x) * (edge - bad) > 0.0):
-        return near.x if bad is None else 0.5 * (near.x + bad)
-    return edge
+    return best
 
 
 def _certified_support(grid: DensityGrid, xs, candidates):
     params, opts = grid.params, grid.opts
-    certified = {}
-    outside = np.zeros(xs.size, dtype=bool)
-    for i in np.flatnonzero(candidates):
-        if xs[i] <= 0.0:
-            outside[i] = True
-            continue
-        point = _certify(xs[i], np.real(grid.g[i]), params, opts)
-        if point is not None:
-            certified[i] = point
-            outside[i] = True
-
-    def edge(i, toward):
-        # the edge beyond outside point i in the direction `toward` (+1 or
-        # -1), with the point on the other side as the second node
-        near = certified.get(i)
-        if near is None:
-            return float(xs[i])
-        far = certified.get(i - toward)
-        if far is None:
-            h = 0.25 * (xs[1] - xs[0])
-            far = _certify(near.x - toward * h, near.g - toward * h * near.g_prime,
-                           params, opts)
-            if far is None:
-                return float(xs[i])
-        return float(_refine_edge(near, far, params, opts))
-
-    intervals = []
-    start = None if outside[0] else float(xs[0])
-    for lo, hi in _runs(outside):
-        if lo > 0:
-            intervals.append((start, edge(lo, -1)))
-        start = edge(hi, 1) if hi < xs.size - 1 else None
-    if start is not None:
-        intervals.append((start, float(xs[-1])))
-    return tuple((max(left, 0.0), right) for left, right in intervals)
+    h = xs[1] - xs[0]
+    gaps = [(-np.inf, 0.0)]  # the Gram matrix is positive semidefinite
+    with np.errstate(all="ignore"):
+        for i in np.flatnonzero(candidates):
+            if any(lo <= xs[i] <= hi for lo, hi in gaps):
+                continue
+            g, _, _, _, omega, _ = _trial(xs[i], np.real(grid.g[i]), params, opts)
+            if g is None:
+                continue
+            u = np.r_[g, xs[i]]
+            dh = np.hstack([np.eye(params.k) - omega, -params.c0 * g[:, None] ** 2])
+            lo = -np.inf
+            if i > 0 and xs[i - 1] > 0.0:
+                lo = _trace_edge(u, dh, -1, max(xs[0], 0.0), h, params, opts)
+            gaps.append((lo, _trace_edge(u, dh, 1, xs[-1], h, params, opts)))
+    intervals, start = [], xs[0]
+    for lo, hi in sorted(gaps) + [(xs[-1], np.inf)]:
+        if lo > start:
+            intervals.append((float(start), float(lo)))
+        start = max(start, hi)
+    return tuple(intervals)
 
 
 def density_grid(x_min: float, x_max: float, n_points: int, params: ModelParams,

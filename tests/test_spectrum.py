@@ -4,14 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import mp_density, mp_edges, mp_params
+from helpers import THREECLASS_SPECS, mp_density, mp_edges, mp_params, threeclass_params
 
 from specbulk.errors import ValidationError
-from specbulk.fixed_point import SolverOptions
-from specbulk.model import ModelParams, validate_model
+from specbulk.fixed_point import DEFAULT_OPTIONS, SolverOptions, _trial, solve_g
+from specbulk.model import ModelParams, build_covariance, validate_model
 from specbulk.montecarlo import sample_w, trial_seed, zero_eigenvalue_count
 from specbulk.spectrum import (
     DensityGrid,
+    _trace_edge,
     atom_at_zero,
     density_at,
     density_grid,
@@ -28,6 +29,33 @@ def _mp_grid(c0_num, c0_den, x_min, x_max, n_points):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         return density_grid(x_min, x_max, n_points, params, OPTS)
+
+
+def _orthogonal_params(centre, p=1024):
+    """Two classes on orthogonal coordinates: (10p/24) I on the first 24
+    with n = 12, and (centre p/1000) I on the other 1000 with n = 1. W^T W is
+    block diagonal, so the support is the union of two Marchenko-Pastur
+    supports: centre (1 -+ sqrt(1/1000))^2 and 10 (1 -+ sqrt(1/2))^2."""
+    wide = np.r_[np.full(24, 10 * p / 24), np.zeros(p - 24)]
+    narrow = np.r_[np.zeros(24), np.full(p - 24, centre * p / 1000)]
+    return validate_model(ModelParams(p=p, class_sizes=(12, 1),
+                                      covariances=(np.diag(wide), np.diag(narrow))))
+
+
+def _orthogonal_edges(centre):
+    return [centre * (1 - np.sqrt(1 / 1000)) ** 2, centre * (1 + np.sqrt(1 / 1000)) ** 2,
+            10 * (1 - np.sqrt(0.5)) ** 2, 10 * (1 + np.sqrt(0.5)) ** 2]
+
+
+def _threeclass_c0_two():
+    """The three Toeplitz classes of the demo at p = 64 with the shipped
+    class sizes 4, 20 and 8 (c0 = 2)."""
+    covs = tuple(build_covariance(spec, 64) for spec in THREECLASS_SPECS)
+    return validate_model(ModelParams(p=64, class_sizes=(4, 20, 8), covariances=covs))
+
+
+def _edges(grid):
+    return [x for interval in grid.support for x in interval]
 
 
 class TestDensityAt:
@@ -104,11 +132,21 @@ class TestDensityGrid:
         assert 0.98 <= threeclass_grid.total_mass <= 1.02
 
     def test_grid_invariants(self, threeclass_grid):
-        g = threeclass_grid
-        assert (g.density >= 0).all()
-        assert all(l <= r for l, r in g.support)
-        assert all(r1 < l2 for (_, r1), (l2, _) in zip(g.support, g.support[1:]))
-        assert g.support[0][0] >= 0.0 and g.support[-1][1] <= g.xs[-1]
+        # the shipped grid, the grids where an edge walk once returned
+        # malformed intervals, and sub-spacing shifts of one grid, whose
+        # edges agree with each other
+        c0_two = _threeclass_c0_two()
+        grids = [threeclass_grid, density_grid(0.0, 45.0, 451, c0_two)]
+        grids += [density_grid(0.0, 30.0, 601, _orthogonal_params(c)) for c in (0.3, 0.51, 0.525)]
+        shifted = [density_grid(f * 0.05, 30.0 + f * 0.05, 601, c0_two) for f in (0.2, 0.45, 0.8)]
+        for g in grids + shifted:
+            assert (g.density >= 0).all()
+            assert all(l < r for l, r in g.support)
+            assert all(r1 < l2 for (_, r1), (l2, _) in zip(g.support, g.support[1:]))
+            assert g.support[0][0] >= 0.0 and g.support[-1][1] <= g.xs[-1]
+        inner = [_edges(g)[:-1] for g in shifted]  # the last edge is the grid's end
+        for edges in inner[1:]:
+            np.testing.assert_allclose(edges, inner[0], rtol=1e-10, atol=0)
 
     def test_eta_refinement_shrinks(self):
         params = mp_params(1, 1, p=16)
@@ -125,6 +163,32 @@ class TestDensityGrid:
 
 
 class TestSupportDetect:
+    @pytest.mark.parametrize("centre", [0.3, 0.51, 0.525])
+    def test_orthogonal_components_closed_form(self, centre):
+        grid = density_grid(0.0, 30.0, 601, _orthogonal_params(centre))
+        np.testing.assert_allclose(_edges(grid), _orthogonal_edges(centre), rtol=1e-9, atol=0)
+
+    def test_gap_with_two_candidates(self):
+        # spacing 0.1 leaves two candidates, 1.0 and 1.1, in the gap
+        # (0.9026, 1.1696); the reference edges come from fine grids
+        grid = density_grid(0.0, 45.0, 451, _threeclass_c0_two())
+        np.testing.assert_allclose(
+            _edges(grid), [0.2293001215, 0.9025808306, 1.1695539080, 40.3512650766],
+            rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("x, toward, edge", [
+        # without the jump test (_ARC_DRIFT), the left traces from 3.65 and
+        # 4.1 land on the lowest gap's arc and end at x = 0
+        (3.65, -1, 1.1266209673), (4.1, -1, 1.1266209673), (1.2, 1, 4.2313605508),
+    ])
+    def test_trace_reaches_its_own_edge(self, x, toward, edge):
+        params = threeclass_params(64)
+        g, _, _, _, omega, _ = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
+        dh = np.hstack([np.eye(3) - omega, -params.c0 * g[:, None] ** 2])
+        bound = 0.0 if toward < 0 else 30.0
+        reached = _trace_edge(np.r_[g, x], dh, toward, bound, 0.05, params, DEFAULT_OPTIONS)
+        assert reached == pytest.approx(edge, rel=1e-9)
+
     def test_zero_density_grid_empty(self):
         params = mp_params(1, 1, p=8)
         grid = DensityGrid(
