@@ -14,7 +14,7 @@ class ConfigError(SpecbulkError):
 
 
 class NonConvergenceError(SpecbulkError):
-    """Fixed-point iteration did not reach tolerance within max_iter."""
+    """A solve spent its budget of max_iter Psi evaluations unsolved."""
 
     def __init__(self, message, z=None, residual=None, iterations=None):
         super().__init__(message)

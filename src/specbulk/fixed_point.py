@@ -17,20 +17,20 @@ reached by an adaptive ladder in Im z. Ladder levels and sweep points
 start from a cubic Hermite prediction through the two previous solutions
 and their slopes g' = c0 (I - J)^{-1} g^2, J the Jacobian each solution's
 own corrector built (at the fixed point J is the kernel Omega(z, z)), so a
-slope costs one k x k solve and no evaluation. The first level and any
-level taken with the base step fall back to a damped Picard step when no
-Newton step decreases the residual.
+slope costs one k x k solve and no evaluation.
 
-Every start that may fail goes through `_trial`, which gives it
-_TRIAL_EVALS evaluations and no Picard step: a warm start, a ladder level
-taken with a grown step, and a real point. At complex z it is rejected
-when it stalls or lands outside the admissible half-plane; a rejected warm
-start falls back to the ladder, a rejected level to a shorter step. At a
-real x it is accepted only when the kernel Omega(x, x) at its fixed point
-has spectral radius below one, which places x outside the support
-(Silverstein & Choi, 1995). When that trial is rejected, the ladder
-descends to Im z ~ 1e-9 and one more trial starts from the real part of
-its solution; when that too is rejected, the solve fails.
+Every start is a trial, `_trial`, which gives it _TRIAL_EVALS evaluations
+and gives up at its first stall: a warm start, each ladder level and a
+real point. At complex z it is rejected when it stalls or lands outside
+the admissible half-plane; a rejected warm start falls back to the ladder,
+a rejected level to a shorter step, and a rejected first level to a higher
+one. At a real x it is accepted only when the kernel Omega(x, x) at its
+fixed point has spectral radius below one, which places x outside the
+support (Silverstein & Choi, 1995). When that trial is rejected, the
+ladder descends to Im z ~ 1e-9 and one more trial starts from the real
+part of its solution; when that too is rejected, the solve fails. The
+trials of one solve share its budget SolverOptions.max_iter of
+evaluations, and a solve that runs out of it fails.
 
 Every evaluation goes through one kernel, `_trace_terms`, which inverts M.
 When the class covariances commute, `validate_model` stores their joint
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -67,22 +68,19 @@ from .nonneg import spectral_radius
 _NORM_FLOOR = 1e-30
 # Im z of the last ladder level for a real point its first trial rejects.
 _REAL_AXIS_ETA_FLOOR = 1e-9
-# Psi evaluations allowed for one trial start: a warm start, a capped
-# ladder level or a real point. A start that does not reach tol within
-# them (or that fails its half-plane or rho(Omega) check) is rejected, and
-# the solve falls back to a safer start.
+# Psi evaluations allowed for one trial: a warm start, a ladder level or a
+# real point. A trial that does not reach tol within them (or that fails
+# its half-plane or rho(Omega) check) is rejected, and the solve falls back
+# to a safer start.
 _TRIAL_EVALS = 12
-# Step fraction of the first damped Picard fallback step; halved (down to
-# 1/64) whenever a fallback step raises the residual.
-_PICARD_DAMPING = 1.0
 # Points with |Im z| below this level are reached by a continuation ladder
 # that descends the imaginary part from it.
 _CONTINUATION_START_IM = 1.0
 # Ladder step control (Allgower & Georg, Numerical Continuation Methods,
 # 1990): the next level is eta / ratio; the ratio grows by _LADDER_GROWTH
-# after a level converged within _LADDER_QUICK evaluations. A level above
-# _LADDER_RATIO is a trial start; when it is rejected the ratio falls to
-# its root.
+# after a level converged within _LADDER_QUICK evaluations and falls to its
+# root after a rejected level. A rejected first level starts again at
+# _LADDER_RATIO times its height.
 _LADDER_RATIO = 2.0
 _LADDER_GROWTH = 16.0
 _LADDER_QUICK = 3
@@ -98,19 +96,21 @@ _last_solve = threading.local()
 class SolverOptions:
     """Fixed-point solver knobs.
 
-    tol is the relative sup-norm residual on g; max_iter caps the Psi
-    evaluations of one iteration at a fixed z (one level of the
-    continuation ladder).
+    tol is the relative sup-norm residual on g, a finite positive real;
+    max_iter, a whole number >= 1, is the budget of Psi evaluations of one
+    whole solve_g call (its warm trial, ladder levels and real-axis trials
+    together). A solve that runs out of it raises NonConvergenceError.
     """
 
     tol: float = 1e-12
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
+        tol, max_iter = self.tol, self.max_iter
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < np.inf:
+            raise ValidationError(f"tol must be a finite positive real, got {tol!r}")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
+            raise ValidationError(f"max_iter must be a whole number >= 1, got {max_iter!r}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -292,99 +292,12 @@ def _wrong_half_plane(candidate, z):
     return bool(np.any(sign * candidate.imag < -0.02 * scale))
 
 
-def _iterate(z, g0, params: ModelParams, opts: SolverOptions, cap=None):
-    """Newton corrector on Psi(g) - g from g0, at fixed z, in real
-    arithmetic when z and g0 are real and in complex arithmetic otherwise.
-
-    Each step solves (I - J) s = Psi(g) - g with J the exact k x k Jacobian
-    of Psi at the current iterate and takes the first of s and s/2 whose
-    true residual is lower; a candidate on the wrong half-plane is skipped,
-    one where M is singular fails. When neither is taken, a trial (cap
-    given) gives up and returns g = None, as it does after min(max_iter,
-    cap) evaluations. A free level (no cap) instead takes one damped Picard
-    step g + damping (Psi(g) - g), damping halved (down to 1/64) whenever
-    such a step raises the residual, and raises NonConvergenceError after
-    max_iter evaluations. A returned g satisfies ||Psi(g) - g||_inf <= tol
-    ||g||_inf, however the step that reached it was produced.
-
-    Returns (g, residual, evaluations, traces at g, J, M^{-1} at g). J is
-    the last Jacobian built, at the iterate the final step started from;
-    when g0 already met tol (one evaluation, no step), J is built at g.
-    """
-    real = np.isrealobj(z) and np.isrealobj(g0)
-    g = np.asarray(g0, dtype=float if real else complex)
-    f, resid, t, minv = _psi_eval(g, z, params)
-    evals, max_iter = 1, opts.max_iter if cap is None else min(opts.max_iter, cap)
-    damping = _PICARD_DAMPING
-    eye = np.eye(params.k)
-    jac = None
-    while not resid <= opts.tol and evals < max_iter:  # NaN certifies nothing
-        delta = f - g
-        jac = _psi_jacobian(t, minv, z, params)
-        try:
-            step = np.linalg.solve(eye - jac, delta)
-        except np.linalg.LinAlgError:
-            step = None
-        stepped = False
-        if step is not None:
-            for frac in (1.0, 0.5):
-                candidate = g + frac * step
-                if _wrong_half_plane(candidate, z):
-                    continue
-                evals += 1
-                try:
-                    f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
-                except NumericalSingularityError:
-                    resid_c = np.inf
-                if resid_c < resid:
-                    g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
-                    stepped = True
-                    break
-                if evals >= max_iter:
-                    break
-        if stepped:
-            continue
-        if cap is not None:
-            break  # a trial takes no Picard step
-        if evals < max_iter:
-            candidate = g + damping * delta
-            f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
-            evals += 1
-            if resid_c > resid:
-                damping = max(damping / 2.0, 1.0 / 64.0)
-            g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
-    if resid <= opts.tol:
-        if jac is None:
-            jac = _psi_jacobian(t, minv, z, params)
-        return g, resid, evals, t, jac, minv
-    if cap is not None:
-        return None, float("nan"), evals, None, None, None
-    raise NonConvergenceError(
-        f"no convergence at z={z} after {max_iter} evaluations "
-        f"(last residual {resid:.3e})",
-        z=z,
-        residual=float(resid),
-        iterations=evals,
-    )
-
-
 def _violates_signs(z, g):
     """True when Im g_a or Im z g_a has the wrong sign beyond a 1e-10 slack."""
     sign = 1.0 if z.imag > 0 else -1.0
     slack = 1e-10 * (np.abs(g).max() + _NORM_FLOOR)
     return bool(np.any(sign * g.imag < -slack)
                 or np.any(sign * (z * g).imag < -slack * abs(z)))
-
-
-def _check_admissible(z, g, params: ModelParams):
-    """Sign constraints on the admissible half-plane solution, with slack."""
-    if _violates_signs(z, g):
-        img = (1.0 if z.imag > 0 else -1.0) * g.imag
-        raise ConsistencyError(
-            f"solution at z={z} violates half-plane sign constraints "
-            f"(min Im g = {img.min():.3e})"
-        )
-    _check_bound(z, g, params)
 
 
 def _check_bound(z, g, params: ModelParams):
@@ -438,50 +351,110 @@ def _predict(z, z1, g1, d1, z0, g0, d0):
     return cubic if trusted else g1  # a NaN slope is never trusted
 
 
-def _trial(z, guess, params, opts):
-    """A start that may fail: `_iterate` from guess, capped at _TRIAL_EVALS.
+def _trial(z, guess, params, opts, spent=0):
+    """Newton corrector on Psi(g) - g from guess, at fixed z: a start that
+    may fail, and the only place where solve_g evaluates Psi. Real z with a
+    real guess is solved in real arithmetic, anything else in complex.
 
-    At complex z, a g that violates the half-plane signs (a fixed point on
-    the conjugate branch) is rejected. At real z, with a real guess, g is
+    Each step solves (I - J) s = Psi(g) - g with J the exact k x k Jacobian
+    of Psi at the current iterate and takes the first of s and s/2 whose
+    true residual is lower; a candidate on the wrong half-plane is skipped,
+    one where M is singular fails. The trial gives up at its first stall
+    (neither is taken), when M is singular at the guess, or after
+    min(_TRIAL_EVALS, opts.max_iter - spent) evaluations, spent being what
+    the solve has used so far of its budget opts.max_iter.
+
+    A g with ||Psi(g) - g||_inf <= tol ||g||_inf still needs its
+    certificate. At complex z, a g that violates the half-plane signs (a
+    fixed point on the conjugate branch) is rejected. At real z, g is
     accepted only when the kernel Omega(z, z), the Jacobian of Psi at g, is
     finite with spectral radius below one: z then lies outside the support
     (Silverstein & Choi, 1995).
 
     Returns (g, residual, evaluations, traces at g, J, rho(Omega)). J is
-    Omega at real z and the corrector's last Jacobian at complex z, where
-    rho is NaN; g is None when the attempt stalls, starts at a singular M,
-    reaches the cap or is rejected. Evaluations count either way.
+    Omega at real z; at complex z, where rho is NaN, it is the last
+    Jacobian built, at the iterate the final step started from (at g when
+    the guess met tol). g is None when the trial is rejected, and
+    evaluations count either way. A rejected trial that leaves nothing of
+    the budget raises NonConvergenceError.
     """
-    rho = float("nan")
+    cap = min(_TRIAL_EVALS, opts.max_iter - spent)
+    real = np.isrealobj(z) and np.isrealobj(guess)
+    g = np.asarray(guess, dtype=float if real else complex)
+    f, resid, evals, jac, rho = None, float("nan"), 0, None, float("nan")
+    eye = np.eye(params.k)
     with np.errstate(all="ignore"):
-        try:
-            g, resid, evals, t, jac, minv = _iterate(z, guess, params, opts, _TRIAL_EVALS)
-        except NumericalSingularityError:  # M singular at the guess
-            g, evals = None, 1
-        if g is not None and z.imag:
-            g = None if _violates_signs(z, g) else g
-        elif g is not None:
-            if evals > 1:  # J is at the iterate before the final step
-                jac = _psi_jacobian(t, minv, z, params)
+        if cap > 0:
+            evals = 1
+            try:
+                f, resid, t, minv = _psi_eval(g, z, params)
+            except NumericalSingularityError:  # M singular at the guess
+                pass
+        while f is not None and not resid <= opts.tol and evals < cap:
+            jac = _psi_jacobian(t, minv, z, params)
+            try:
+                step = np.linalg.solve(eye - jac, f - g)
+            except np.linalg.LinAlgError:
+                break
+            for frac in (1.0, 0.5):
+                candidate = g + frac * step
+                if _wrong_half_plane(candidate, z):
+                    continue
+                evals += 1
+                try:
+                    f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
+                except NumericalSingularityError:
+                    resid_c = np.inf
+                if resid_c < resid:
+                    g, f, resid, t, minv = candidate, f_c, resid_c, t_c, minv_c
+                    break
+                if evals >= cap:
+                    break
+            else:
+                break  # a stall: neither step lowered the residual
+        accepted = resid <= opts.tol  # NaN certifies nothing
+        if accepted and (jac is None or not z.imag):
+            jac = _psi_jacobian(t, minv, z, params)  # at g
+        if accepted and z.imag:
+            accepted = not _violates_signs(z, g)
+        elif accepted:
             rho = spectral_radius(jac) if np.isfinite(jac).all() else rho
-            g = g if rho < 1.0 else None
-    if g is None:
-        return None, float("nan"), evals, None, None, float("nan")
-    return g, resid, evals, t, jac, rho
+            accepted = rho < 1.0
+    if accepted:
+        return g, resid, evals, t, jac, rho
+    if spent + evals >= opts.max_iter:
+        raise NonConvergenceError(
+            f"solve spent its budget of {opts.max_iter} evaluations in a trial "
+            f"at z={z} (last residual {resid:.3e})",
+            z=z,
+            residual=float(resid),
+            iterations=spent + evals,
+        )
+    return None, float("nan"), evals, None, None, float("nan")
 
 
-def _ladder(z, params, opts):
-    """Continuation in Im z from _CONTINUATION_START_IM down to Im z.
+def _ladder(z, params, opts, spent=0):
+    """Continuation in Im z from _CONTINUATION_START_IM down to Im z, every
+    level a `_trial` within the solve's budget, of which spent is used.
 
-    The second level starts from the first level's g, every later one from
-    `_predict` through the last two levels and their slopes
-    g' = c0 (I - J)^{-1} g^2, J the Jacobian each level's corrector built.
-    The evaluations of rejected levels count in the returned total.
-    Returns (g, residual, evaluations, traces at g, J) of the last level.
+    The first level starts from the asymptote at Im z = max(1, |Im z|);
+    when it is rejected it starts again from the asymptote at _LADDER_RATIO
+    times its height. The second level starts from the first level's g,
+    every later one from `_predict` through the last two levels and their
+    slopes g' = c0 (I - J)^{-1} g^2, J the Jacobian each level's corrector
+    built. A rejected later level takes the root of the ratio; the budget
+    is the ladder's only stop. Returns (g, residual, evaluations spent by
+    the solve, traces at g, J) of the last level.
     """
     target = abs(z.imag)
-    z1 = complex(z.real, np.copysign(max(_CONTINUATION_START_IM, target), z.imag))
-    g1, resid, total, t, jac = _iterate(z1, initial_guess(z1, params), params, opts)[:5]
+    eta = max(_CONTINUATION_START_IM, target)
+    g1 = None
+    while g1 is None:
+        z1 = complex(z.real, np.copysign(eta, z.imag))
+        g1, resid, evals, t, jac, _ = _trial(z1, initial_guess(z1, params), params, opts,
+                                             spent)
+        spent += evals
+        eta *= _LADDER_RATIO
     d1 = _g_prime(jac, g1, z1, params)
     z0 = g0 = d0 = None
     ratio = _LADDER_RATIO
@@ -490,33 +463,30 @@ def _ladder(z, params, opts):
         eta = eta if eta > target * (1.0 + 1e-12) else target
         z_next = complex(z.real, np.copysign(eta, z.imag))
         guess = g1 if z0 is None else _predict(z_next, z1, g1, d1, z0, g0, d0)
-        step = _trial if ratio > _LADDER_RATIO else _iterate
-        g, resid_n, evals, t_n, jac_n = step(z_next, guess, params, opts)[:5]
-        total += evals
+        g, resid_n, evals, t_n, jac_n, _ = _trial(z_next, guess, params, opts, spent)
+        spent += evals
         if g is None:
-            ratio = max(np.sqrt(ratio), _LADDER_RATIO)  # reject the level
+            ratio = np.sqrt(ratio)  # reject the level
             continue
         z0, g0, d0 = z1, g1, d1
         z1, g1, resid, t, jac = z_next, g, resid_n, t_n, jac_n
         d1 = _g_prime(jac, g1, z1, params)
         if evals <= _LADDER_QUICK:
             ratio *= _LADDER_GROWTH
-    return g1, resid, total, t, jac
+    return g1, resid, spent, t, jac
 
 
 def _solve_complex(z, params, opts, warm_start=None):
     """A trial from the warm start, else (or when it is rejected) the
-    continuation ladder; the evaluations of both count. A trial has checked
-    the signs; the ladder's last level may be a plain `_iterate`."""
-    spent = 0
+    continuation ladder; the evaluations of both count. Every trial has
+    checked the signs, so only the |g| bound is left."""
+    g, spent = None, 0
     if warm_start is not None:
         g, resid, spent, t, jac, _ = _trial(z, warm_start, params, opts)
-        if g is not None:
-            _check_bound(z, g, params)
-            return g, resid, spent, t, jac
-    g, resid, total, t, jac = _ladder(z, params, opts)
-    _check_admissible(z, g, params)
-    return g, resid, spent + total, t, jac
+    if g is None:
+        g, resid, spent, t, jac = _ladder(z, params, opts, spent)
+    _check_bound(z, g, params)
+    return g, resid, spent, t, jac
 
 
 def _solve_real(x, params, opts, warm_start=None):
@@ -527,9 +497,9 @@ def _solve_real(x, params, opts, warm_start=None):
     g0 = initial_guess(x, params).real if warm_start is None else warm_start.real
     g, resid, total, t, omega, _ = _trial(x, g0, params, opts)
     if g is None:
-        g_eta, _, spent, _, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts)
-        g, resid, evals, t, omega, _ = _trial(x, g_eta.real, params, opts)
-        total += spent + evals
+        g_eta, _, total, _, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts, total)
+        g, resid, evals, t, omega, _ = _trial(x, g_eta.real, params, opts, total)
+        total += evals
         if g is None:
             raise ConsistencyError(
                 f"real-axis solve at z={x} not certified by rho(Omega) < 1; "
@@ -550,8 +520,10 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
     from Re z + i. A warm start is tried first as a trial start: it gets
     _TRIAL_EVALS evaluations and is rejected, and the ladder taken, when it
     stalls or lands outside the admissible half-plane. The returned point
-    passes the half-plane sign and |g| bound checks, which run once.
-    iterations counts every Psi evaluation, failed attempts included. Real z
+    passes the half-plane sign check of its trial and the |g| bound check.
+    iterations counts every Psi evaluation, failed attempts included, and
+    may not exceed opts.max_iter: a solve that runs out raises
+    NonConvergenceError. Real z
     must lie outside the support (and away from 0). It is solved by a real
     trial from the real part of the warm start or from the asymptote
     -1/(c0 z), else by one from the real part of the ladder's solution at

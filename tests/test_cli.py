@@ -273,6 +273,20 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error")
 
+    @pytest.mark.parametrize("solver", [
+        '{"tol": 1e400}', '{"tol": true}', '{"tol": -1e-12}', '{"max_iter": true}',
+        '{"max_iter": 2.5}', '{"max_iter": 0}', '{"max_iter": 1e400}',
+    ], ids=["tol-inf", "tol-bool", "tol-negative", "max_iter-bool", "max_iter-fraction",
+            "max_iter-zero", "max_iter-inf"])
+    def test_bad_solver_option_is_config_error(self, tmp_path, capsys, solver):
+        # written as raw JSON text: 1e400 parses as an infinite float
+        model = {"p": 8, "classes": [{"n": 8, "covariance": {"kind": "identity"}}]}
+        text = json.dumps({"version": 1, "model": model, "solve": {"z": [[1.0, 1.0]]}})
+        path = tmp_path / "config.json"
+        path.write_text(f'{text[:-1]}, "solver": {solver}}}')
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: solver")
+
     def test_shipped_configs_parse(self):
         from pathlib import Path
 

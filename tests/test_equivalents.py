@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import log_det_quadrature, mp_params, threeclass_params
+from helpers import form_models, log_det_quadrature, mp_params, threeclass_params
 
 from specbulk.equivalents import (
     SecondOrderSet,
@@ -276,6 +276,22 @@ class TestPairEquivalents:
         mat = qt_ca_qt_equivalent(so, eq, eq, 2, threeclass128)
         expected = eq.q_tilde_bar @ threeclass128.covariances[2] @ eq.q_tilde_bar
         np.testing.assert_allclose(mat, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("form", ["diagonal_singular", "basis_k1", "one_block",
+                                      "two_blocks_odd"])
+    def test_qt_ca_qt_matches_dense_products(self, form):
+        # the one product Qt_1 (C_a + sum_b R_ba C_b) Qt_2 against the k
+        # dense triple products Qt_1 C_b Qt_2, summed with the weights R_ba
+        params = form_models()[form]
+        pt1 = solve_g(2.0 + 1.0j, params, OPTS)
+        pt2 = solve_g(-0.5, params, OPTS)
+        eq1, eq2 = first_order(pt1, params), first_order(pt2, params)
+        so = second_order(pt1, pt2, params)
+        for a in range(params.k):
+            mat = qt_ca_qt_equivalent(so, eq1, eq2, a, params)
+            ref = sum(((b == a) + so.r[b, a]) * eq1.q_tilde_bar @ cov @ eq2.q_tilde_bar
+                      for b, cov in enumerate(params.covariances))
+            assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_qt_ca_qt_large_z(self, threeclass128):
         z = 1e6j

@@ -5,10 +5,11 @@ from helpers import mixture_matrix, mp_params, mp_stieltjes, psi_step, threeclas
 
 from specbulk import fixed_point
 from specbulk.equivalents import second_order
-from specbulk.errors import ConsistencyError, ValidationError
+from specbulk.errors import ConsistencyError, NonConvergenceError, ValidationError
 from specbulk.fixed_point import (
     SolverOptions,
-    _check_admissible,
+    _check_bound,
+    _violates_signs,
     g_derivative,
     initial_guess,
     solve_g,
@@ -262,7 +263,31 @@ class TestSolveG:
             ref = mp_stieltjes(z, params.c0)
             assert abs(point.m_mu - ref) <= 1e-10 * abs(ref)
             if eta:
-                _check_admissible(point.z, point.g, params)
+                assert not _violates_signs(point.z, point.g)
+                _check_bound(point.z, point.g, params)
+
+    def test_first_level_restarts_higher(self):
+        # at Re z = 13.5 on three-class p = 64 the first ladder level, from
+        # the asymptote at Im z = 1, stalls and starts again at Im z = 2.
+        # The reference sweeps down from a point solved at 13.5 + 2i, each
+        # point a warm start from the one before
+        params = threeclass_params(64)
+        etas = np.r_[2.0, 1.0, np.geomspace(0.5, 1e-4, 13)]
+        sweep = solve_grid(13.5 + 1j * etas, params)
+        for eta, ref in ((1.0, sweep[1]), (1e-4, sweep[-1])):
+            point = solve_g(complex(13.5, eta), params)
+            assert not _violates_signs(point.z, point.g)
+            _check_bound(point.z, point.g, params)
+            assert np.abs(point.g - ref.g).max() <= 1e-10 * np.abs(ref.g).max()
+
+    def test_max_iter_bounds_whole_solve(self):
+        # the ladder down to 0.5 + 1e-8i takes 27 evaluations in all; a
+        # budget of 20 stops it within 20
+        params = mp_params(1, 1, p=4)
+        with pytest.raises(NonConvergenceError) as info:
+            solve_g(0.5 + 1e-8j, params, SolverOptions(max_iter=20))
+        assert info.value.iterations <= 20
+        assert solve_g(0.5 + 1e-8j, params, SolverOptions(max_iter=40)).iterations == 27
 
     def test_unvalidated_params_rejected(self):
         raw = ModelParams(p=4, class_sizes=(4,), covariances=(np.eye(4),))
@@ -345,7 +370,8 @@ class TestSolveGrid:
         for x, pt in zip(xs, pts):
             cold = solve_g(x + 1e-3j, params)
             assert np.abs(pt.g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
-            _check_admissible(pt.z, pt.g, params)
+            assert not _violates_signs(pt.z, pt.g)
+            _check_bound(pt.z, pt.g, params)
 
     def test_predictor_kept_in_half_plane(self):
         # next to the hard edge at zero (c0 = 1, g ~ z^{-1/2}) the secant
@@ -396,6 +422,20 @@ class TestSolverOptions:
             SolverOptions(tol=0.0)
         with pytest.raises(ValidationError):
             SolverOptions(max_iter=0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-12, True, "1e-12", 1j])
+    def test_tol_finite_positive_real(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            SolverOptions(tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [True, 40.0, np.inf, "40", -3])
+    def test_max_iter_whole_number(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter"):
+            SolverOptions(max_iter=max_iter)
+
+    def test_numpy_scalars_accepted(self):
+        opts = SolverOptions(tol=np.float64(1e-10), max_iter=np.int64(50))
+        assert opts.max_iter == 50
 
 
 class TestKernels:
