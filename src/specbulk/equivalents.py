@@ -203,18 +203,9 @@ def q_da_q_equivalent(so: SecondOrderSet, eq1: EquivalentSet, eq2: EquivalentSet
 def qt_ca_qt_equivalent(so: SecondOrderSet, eq1: EquivalentSet, eq2: EquivalentSet,
                         a: int, params: ModelParams) -> np.ndarray:
     """Equivalent of Qt_{z1} C_a Qt_{z2}: the one product
-    Qt_1 (C_a + sum_b R_ba C_b) Qt_2.
-
-    With joint spectra it is a diagonal in the joint eigenbasis, expanded
-    once. Otherwise it is two dense p x p products, which keep it equal
-    entry by entry to Qt_1 C_a Qt_2 when R vanishes; a product of the
-    even/odd blocks of the reversal agrees only to about 1e-15 of the
-    largest entry.
-    """
+    Qt_1 (C_a + sum_b R_ba C_b) Qt_2."""
     _check_pair(so, eq1, eq2, a, params)
     weights = np.eye(params.k)[a] + so.r[:, a]
-    if params.spectra is not None:
-        return _dense(eq1.q_tilde * (weights @ params.spectra) * eq2.q_tilde, params)
     middle = np.tensordot(weights, params.covariances, axes=1)
     return eq1.q_tilde_bar @ middle @ eq2.q_tilde_bar
 

@@ -351,6 +351,19 @@ def _predict(z, z1, g1, d1, z0, g0, d0):
     return cubic if trusted else g1  # a NaN slope is never trusted
 
 
+def _check_budget(z, resid, spent, opts):
+    """Raise NonConvergenceError once the solve has spent its budget of
+    opts.max_iter evaluations; z and resid are of the last trial."""
+    if spent >= opts.max_iter:
+        raise NonConvergenceError(
+            f"solve spent its budget of {opts.max_iter} evaluations; "
+            f"last trial at z={z}, residual {resid:.3e}",
+            z=z,
+            residual=float(resid),
+            iterations=spent,
+        )
+
+
 def _trial(z, guess, params, opts, spent=0):
     """Newton corrector on Psi(g) - g from guess, at fixed z: a start that
     may fail, and the only place where solve_g evaluates Psi. Real z with a
@@ -362,7 +375,8 @@ def _trial(z, guess, params, opts, spent=0):
     one where M is singular fails. The trial gives up at its first stall
     (neither is taken), when M is singular at the guess, or after
     min(_TRIAL_EVALS, opts.max_iter - spent) evaluations, spent being what
-    the solve has used so far of its budget opts.max_iter.
+    the solve has used so far of its budget opts.max_iter; callers start
+    no trial once that budget is spent.
 
     A g with ||Psi(g) - g||_inf <= tol ||g||_inf still needs its
     certificate. At complex z, a g that violates the half-plane signs (a
@@ -376,20 +390,18 @@ def _trial(z, guess, params, opts, spent=0):
     Jacobian built, at the iterate the final step started from (at g when
     the guess met tol). g is None when the trial is rejected, and
     evaluations count either way. A rejected trial that leaves nothing of
-    the budget raises NonConvergenceError.
+    the budget raises NonConvergenceError (`_check_budget`).
     """
     cap = min(_TRIAL_EVALS, opts.max_iter - spent)
     real = np.isrealobj(z) and np.isrealobj(guess)
     g = np.asarray(guess, dtype=float if real else complex)
-    f, resid, evals, jac, rho = None, float("nan"), 0, None, float("nan")
+    f, resid, evals, jac, rho = None, float("nan"), 1, None, float("nan")
     eye = np.eye(params.k)
     with np.errstate(all="ignore"):
-        if cap > 0:
-            evals = 1
-            try:
-                f, resid, t, minv = _psi_eval(g, z, params)
-            except NumericalSingularityError:  # M singular at the guess
-                pass
+        try:
+            f, resid, t, minv = _psi_eval(g, z, params)
+        except NumericalSingularityError:  # M singular at the guess
+            pass
         while f is not None and not resid <= opts.tol and evals < cap:
             jac = _psi_jacobian(t, minv, z, params)
             try:
@@ -422,14 +434,7 @@ def _trial(z, guess, params, opts, spent=0):
             accepted = rho < 1.0
     if accepted:
         return g, resid, evals, t, jac, rho
-    if spent + evals >= opts.max_iter:
-        raise NonConvergenceError(
-            f"solve spent its budget of {opts.max_iter} evaluations in a trial "
-            f"at z={z} (last residual {resid:.3e})",
-            z=z,
-            residual=float(resid),
-            iterations=spent + evals,
-        )
+    _check_budget(z, resid, spent + evals, opts)
     return None, float("nan"), evals, None, None, float("nan")
 
 
@@ -443,8 +448,9 @@ def _ladder(z, params, opts, spent=0):
     every later one from `_predict` through the last two levels and their
     slopes g' = c0 (I - J)^{-1} g^2, J the Jacobian each level's corrector
     built. A rejected later level takes the root of the ratio; the budget
-    is the ladder's only stop. Returns (g, residual, evaluations spent by
-    the solve, traces at g, J) of the last level.
+    is the ladder's only stop, and when an accepted level has spent it the
+    error carries that level's z and residual. Returns (g, residual,
+    evaluations spent by the solve, traces at g, J) of the last level.
     """
     target = abs(z.imag)
     eta = max(_CONTINUATION_START_IM, target)
@@ -459,6 +465,7 @@ def _ladder(z, params, opts, spent=0):
     z0 = g0 = d0 = None
     ratio = _LADDER_RATIO
     while abs(z1.imag) > target * (1.0 + 1e-12):
+        _check_budget(z1, resid, spent, opts)
         eta = abs(z1.imag) / ratio
         eta = eta if eta > target * (1.0 + 1e-12) else target
         z_next = complex(z.real, np.copysign(eta, z.imag))
@@ -497,7 +504,9 @@ def _solve_real(x, params, opts, warm_start=None):
     g0 = initial_guess(x, params).real if warm_start is None else warm_start.real
     g, resid, total, t, omega, _ = _trial(x, g0, params, opts)
     if g is None:
-        g_eta, _, total, _, _ = _ladder(complex(x, _REAL_AXIS_ETA_FLOOR), params, opts, total)
+        z_eta = complex(x, _REAL_AXIS_ETA_FLOOR)
+        g_eta, resid_eta, total, _, _ = _ladder(z_eta, params, opts, total)
+        _check_budget(z_eta, resid_eta, total, opts)
         g, resid, evals, t, omega, _ = _trial(x, g_eta.real, params, opts, total)
         total += evals
         if g is None:

@@ -280,13 +280,16 @@ class TestSolveG:
             _check_bound(point.z, point.g, params)
             assert np.abs(point.g - ref.g).max() <= 1e-10 * np.abs(ref.g).max()
 
-    def test_max_iter_bounds_whole_solve(self):
+    @pytest.mark.parametrize("max_iter", [20, 26])
+    def test_max_iter_bounds_whole_solve(self, max_iter):
         # the ladder down to 0.5 + 1e-8i takes 27 evaluations in all; a
-        # budget of 20 stops it within 20
+        # smaller budget stops it within itself. At 26 an accepted level
+        # spends the last evaluation, and the error carries its residual.
         params = mp_params(1, 1, p=4)
         with pytest.raises(NonConvergenceError) as info:
-            solve_g(0.5 + 1e-8j, params, SolverOptions(max_iter=20))
-        assert info.value.iterations <= 20
+            solve_g(0.5 + 1e-8j, params, SolverOptions(max_iter=max_iter))
+        assert info.value.iterations <= max_iter
+        assert np.isfinite(info.value.residual)
         assert solve_g(0.5 + 1e-8j, params, SolverOptions(max_iter=40)).iterations == 27
 
     def test_unvalidated_params_rejected(self):
