@@ -57,11 +57,14 @@ def _require_keys(d: dict, allowed: set[str], context: str, required: set[str] =
 
 
 def _number(value, context: str, kind=float):
-    """kind(value) for a number read from the config, else ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context} must be a number, got {value!r}") from exc
+    """kind(value) for a number read from the config, else ConfigError: a
+    JSON integer for kind int, else a finite JSON number, and never a bool."""
+    types = int if kind is int else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or not abs(value) <= sys.float_info.max):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{context} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def _config_z(value, context: str) -> complex:

@@ -47,11 +47,11 @@ class CovarianceSpec:
             raise ValidationError(f"unknown covariance kind {self.kind!r}")
         for name in ("scale", "rho"):
             value = getattr(self, name)
-            if not isinstance(value, Real):
+            if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValidationError(f"{name} must be a number, got {value!r}")
         if self.values is not None and not (
                 isinstance(self.values, (tuple, list, np.ndarray))
-                and all(isinstance(v, Real) for v in self.values)):
+                and all(isinstance(v, Real) and not isinstance(v, bool) for v in self.values)):
             raise ValidationError(f"values must be a list of numbers, got {self.values!r}")
         if self.kind in ("scaled_identity", "toeplitz") and not self.scale > 0:
             raise ValidationError(f"scale must be positive, got {self.scale}")

@@ -5,9 +5,10 @@ is the complement of the points certified to lie outside it: a real x is
 outside when the fixed-point system has a real solution there whose
 kernel Omega(x, x) has spectral radius below one (the real-axis
 characterisation of Silverstein & Choi, 1995). These real solutions form
-one arc per gap, and the gap's edges are the folds of its arc, where
-rho(Omega(x, x)) reaches one. The atom at zero is 1 - rank(W)/n, with the
-generic rank of W counted from the class covariances.
+one arc per gap, along which the mass n (1 - F(x)) above x is a fixed
+integer (exact separation, Bai & Silverstein, 1999); the gap's edges are
+the last certified points of its arc. The atom at zero is 1 - rank(W)/n,
+with the generic rank of W counted from the class covariances.
 """
 from __future__ import annotations
 
@@ -25,16 +26,13 @@ from .fixed_point import (
     SolverOptions,
     _psi_eval,
     _psi_jacobian,
+    _trace_terms,
     _trial,
     solve_g,
     solve_grid,
 )
 from .model import ModelParams
-
-# grid values below this fraction of the peak are candidates for lying outside the support
-_SUSPECT_FRACTION = 0.05
-# an arc step landing further than this fraction of the step from its prediction has jumped
-_ARC_DRIFT = 0.5
+from .nonneg import spectral_radius
 
 
 @dataclass(frozen=True)
@@ -105,25 +103,44 @@ def atom_at_zero(params: ModelParams) -> float:
 def support_detect(grid: DensityGrid):
     """Support of the measure as disjoint closed intervals.
 
-    Grid points whose density is below 5% of the peak are the candidates.
-    A candidate is certified outside when a real-axis Newton solve, started
-    from the real part of the grid solution, returns a real fixed point with
-    rho(Omega(x, x)) < 1. The arc of real solutions through it is traced both
-    ways to its folds, the edges of its gap; candidates in a traced gap get
-    no solve of their own. No side is traced toward a neighbour at x <= 0 or
-    off the grid. The support is the complement of the traced gaps and of
-    x <= 0 (the Gram matrix is positive semidefinite; the atom at zero is
-    reported separately) within the grid. A gap that holds no candidate
-    grid point is missed.
+    The candidates are the grid points at x > 0 whose density is a local
+    minimum (the first positive point against its right neighbour only),
+    and both neighbours of each: the smoothed density is convex in a gap,
+    so a gap that holds a grid point holds a candidate. A candidate is
+    certified outside when a real-axis Newton solve, started from the real
+    part of the grid solution, returns a real fixed point with
+    rho(Omega(x, x)) < 1. The arc of real solutions through it is traced
+    both ways to its last certified points, the edges of its gap;
+    candidates in a traced gap get no solve of their own. No side is
+    traced toward a neighbour at x <= 0 or off the grid. The support is
+    the complement of the traced gaps and of x <= 0 (the Gram matrix is
+    positive semidefinite; the atom at zero is reported separately) within
+    the grid. A gap that holds no grid point is missed.
     """
     xs = np.asarray(grid.xs, dtype=float)
-    if xs.size == 0:
-        raise ValidationError("empty grid")
+    if xs.size < 2:
+        raise ValidationError(f"need at least 2 grid points, got {xs.size}")
     dens = np.asarray(grid.density, dtype=float)
-    peak = dens.max()
-    if peak <= 0.0:
+    if dens.max() <= 0.0:
         return ()
-    return _certified_support(grid, xs, dens < _SUSPECT_FRACTION * peak)
+    positive = xs > 0.0
+    d = np.where(positive, dens, np.inf)
+    minima = positive & (d <= np.r_[np.inf, d[:-1]]) & (d <= np.r_[d[1:], np.inf])
+    near = minima | np.r_[minima[1:], False] | np.r_[False, minima[:-1]]
+    return _certified_support(grid, xs, near & positive)
+
+
+def _count(x, t, minv, params: ModelParams) -> int:
+    """n (1 - F(x)), the limiting number of eigenvalues of W^T W above a
+    certified real x with traces t and mixture inverse minv. For x > 0 it
+    is the number of negative eigenvalues of M (those of minv: 1/d on a
+    model with joint spectra, else its blocks) plus the n_a of each class
+    with 1 - t_a/x < 0; for x <= 0 it is n, as F vanishes there."""
+    if x <= 0.0:
+        return params.n
+    inv = minv if minv.ndim == 1 else np.linalg.eigvalsh(minv)
+    return int(np.count_nonzero(inv < 0.0)
+               + np.asarray(params.class_sizes)[1.0 - t / x < 0.0].sum())
 
 
 def _tangent(dh, u, ref):
@@ -139,9 +156,11 @@ def _tangent(dh, u, ref):
 def _arc_point(u, tangent, w, s, params, opts):
     """The point v of the arc H(g, x) = g - Psi(g; x) = 0 on the hyperplane
     (w^2 tangent) . (v - u) = s, by Newton's method on the bordered system
-    from u + s tangent. Returns (v, dH at v, evaluations), with
-    dH = [I - J, -c0 Psi^2] as dPsi_a/dx = c0 Psi_a^2; v is None when the
-    corrector stalls or does not reach tol within _TRIAL_EVALS evaluations.
+    from u + s tangent. Returns (v, dH at v, the count of v, evaluations),
+    with dH = [I - J, -c0 Psi^2] as dPsi_a/dx = c0 Psi_a^2. The count is
+    None unless v is certified, with rho(Omega(x, x)) < 1 for the
+    Jacobian J = Omega at v; v is None when the corrector stalls or does
+    not reach tol within _TRIAL_EVALS evaluations.
     """
     k = params.k
     v = u + s * tangent
@@ -153,72 +172,48 @@ def _arc_point(u, tangent, w, s, params, opts):
             if not resid < last:
                 break
             last = resid
-            dh = np.hstack([np.eye(k) - _psi_jacobian(t, minv, v[k], params),
-                            -params.c0 * f[:, None] ** 2])
+            jac = _psi_jacobian(t, minv, v[k], params)
+            dh = np.hstack([np.eye(k) - jac, -params.c0 * f[:, None] ** 2])
             if resid <= opts.tol:
-                return v, dh, evals
+                certified = np.isfinite(jac).all() and spectral_radius(jac) < 1.0
+                return v, dh, _count(v[k], t, minv, params) if certified else None, evals
             v = v - np.linalg.solve(np.vstack([dh, normal]),
                                     np.r_[v[:k] - f, normal @ (v - u) - s])
         except (NumericalSingularityError, np.linalg.LinAlgError):
             break
-    return None, None, evals
+    return None, None, None, evals
 
 
-def _trace_edge(u, dh, toward, bound, h, params, opts) -> float:
-    """The x where the arc through the certified point u = (g, x) folds on
-    the side `toward` (+1 or -1), or `bound` when the arc passes it first.
+def _trace_edge(u, dh, count, toward, bound, h, params, opts) -> float:
+    """The x of the last certified point of the arc through the certified
+    point u = (g, x) with count `count` on the side `toward` (+1 or -1),
+    before the arc folds there, or `bound` when the arc passes it first.
 
     Pseudo-arclength continuation (Allgower & Georg, Numerical Continuation
-    Methods, 1990) in the weighted norm of `_tangent`: step h along the
-    tangent, doubled after a corrector that converged within _LADDER_QUICK
-    Newton steps and halved after a rejected step. A step is rejected when
-    its corrector fails, or as a jump onto another arc when it lands more
-    than _ARC_DRIFT h from its prediction. The arc folds where the
-    tangent's x-component changes sign. A trace whose step falls below
-    opts.tol (1 + |x|) ends at the last point reached.
+    Methods, 1990) in the weighted norm of `_tangent`. A step of length h
+    along the tangent is accepted when its corrector converges to a point
+    with rho(Omega) < 1 and the seed's count, so every accepted point lies
+    outside the support in the seed's own gap; at such a point
+    det(I - J) > 0 and the tangent cannot turn. h doubles after a corrector
+    that converged within _LADDER_QUICK Newton steps, until the first
+    rejected step; each rejected step halves h. Once h <= sqrt(opts.tol)
+    (1 + |x|), the trace ends at its last point: x is quadratic in the
+    arclength near a fold, so that point is within about opts.tol of it.
     """
     k = params.k
     tangent, w = _tangent(dh, u, toward * np.eye(k + 1)[k])
+    grow = True
     while toward * (bound - u[k]) > 0.0:
-        v, dh_v, evals = _arc_point(u, tangent, w, h, params, opts)
-        if v is None or np.linalg.norm(w * (v - u - h * tangent)) > _ARC_DRIFT * h:
-            h *= 0.5
-            if h <= opts.tol * (1.0 + abs(u[k])):
+        v, dh_v, count_v, evals = _arc_point(u, tangent, w, h, params, opts)
+        if count_v != count:  # None unless certified
+            h, grow = 0.5 * h, False
+            if h <= np.sqrt(opts.tol) * (1.0 + abs(u[k])):
                 break
             continue
-        tangent_v, w_v = _tangent(dh_v, v, tangent)
-        if toward * tangent_v[k] <= 0.0:
-            fold = _fold(u, tangent, w, h, tangent_v[k], toward, params, opts)
-            return toward * min(toward * bound, fold)
-        u, tangent, w = v, tangent_v, w_v
-        if evals - 1 <= _LADDER_QUICK:  # Newton steps after the prediction
+        u, (tangent, w) = v, _tangent(dh_v, v, tangent)
+        if grow and evals - 1 <= _LADDER_QUICK:  # Newton steps after the prediction
             h *= 2.0
     return toward * min(toward * bound, toward * u[k])
-
-
-def _fold(u, tangent, w, h, turned, toward, params, opts) -> float:
-    """toward * x at the fold within the step h from u, past which the
-    tangent's x-component is `turned`: the Illinois secant (modified regula
-    falsi) on that component as a function of the step, until it is below
-    sqrt(opts.tol), where x is within about opts.tol of the fold. Returns the
-    furthest of the arc's points, which lie on the gap's side of the fold."""
-    k = params.k
-    lo, f_lo, hi, f_hi = 0.0, toward * tangent[k], h, toward * turned
-    best, side = toward * u[k], 0
-    while lo < (s := lo + f_lo * (hi - lo) / (f_lo - f_hi)) < hi:
-        v, dh_v, _ = _arc_point(u, tangent, w, s, params, opts)
-        if v is None:
-            break
-        f = toward * _tangent(dh_v, v, tangent)[0][k]
-        best = max(best, toward * v[k])
-        if f > 0.0:  # an end kept twice in a row has its value halved
-            lo, f_lo, f_hi = s, f, f_hi * (0.5 if side > 0 else 1.0)
-        else:
-            hi, f_hi, f_lo = s, f, f_lo * (0.5 if side < 0 else 1.0)
-        side = 1 if f > 0.0 else -1
-        if abs(f) <= np.sqrt(opts.tol):
-            break
-    return best
 
 
 def _certified_support(grid: DensityGrid, xs, candidates):
@@ -229,15 +224,16 @@ def _certified_support(grid: DensityGrid, xs, candidates):
         for i in np.flatnonzero(candidates):
             if any(lo <= xs[i] <= hi for lo, hi in gaps):
                 continue
-            g, _, _, _, omega, _ = _trial(xs[i], np.real(grid.g[i]), params, opts)
+            g, _, _, t, omega, _ = _trial(xs[i], np.real(grid.g[i]), params, opts)
             if g is None:
                 continue
             u = np.r_[g, xs[i]]
             dh = np.hstack([np.eye(params.k) - omega, -params.c0 * g[:, None] ** 2])
+            count = _count(xs[i], t, _trace_terms(g, xs[i], params)[1], params)
             lo = -np.inf
             if i > 0 and xs[i - 1] > 0.0:
-                lo = _trace_edge(u, dh, -1, max(xs[0], 0.0), h, params, opts)
-            gaps.append((lo, _trace_edge(u, dh, 1, xs[-1], h, params, opts)))
+                lo = _trace_edge(u, dh, count, -1, max(xs[0], 0.0), h, params, opts)
+            gaps.append((lo, _trace_edge(u, dh, count, 1, xs[-1], h, params, opts)))
     intervals, start = [], xs[0]
     for lo, hi in sorted(gaps) + [(xs[-1], np.inf)]:
         if lo > start:

@@ -264,7 +264,32 @@ class TestConfigValidation:
         ("equivalents", {"sigma2": 1.0}),
         ("simulate", {"simulate": {"trials": "ten",
                                    "grid": {"x_min": 0.0, "x_max": 5.0, "n_points": 51}}}),
-    ], ids=["p", "n_points", "solve-z", "toeplitz-scale", "sigma2", "trials"])
+        # counts and seeds must be JSON integers, other numbers finite JSON
+        # numbers; neither may be a bool or a numeric string
+        ("density", {"model": {**MP_MODEL, "p": "32"}}),
+        ("density", {"model": {**MP_MODEL, "p": True}}),
+        ("density", {"model": {"p": 32, "classes": [
+            {"n": 32.9, "covariance": {"kind": "identity"}}]}}),
+        ("density", {"density": {"x_min": False, "x_max": 5.0, "n_points": 51}}),
+        ("density", {"density": {"x_min": 0.0, "x_max": float("inf"), "n_points": 51}}),
+        ("density", {"density": {"x_min": 0.0, "x_max": 5.0, "n_points": 65.7}}),
+        ("density", {"density": {"x_min": 0.0, "x_max": 5.0, "n_points": 51.0}}),
+        ("density", {"model": {"p": 8, "classes": [
+            {"n": 8, "covariance": {"kind": "toeplitz", "scale": True, "rho": 0.5}}]}}),
+        ("solve", {"solve": {"z": [[True, 1.0]]}}),
+        ("equivalents", {"sigma2": ["1.0"]}),
+        ("simulate", {"simulate": {"trials": 10.0,
+                                   "grid": {"x_min": 0.0, "x_max": 5.0, "n_points": 51}}}),
+        ("simulate", {"simulate": {"trials": 2, "seed": "3",
+                                   "grid": {"x_min": 0.0, "x_max": 5.0, "n_points": 51}}}),
+        ("simulate", {"simulate": {"trials": 2, "outliers": {"trials": True},
+                                   "grid": {"x_min": 0.0, "x_max": 5.0, "n_points": 51}}}),
+        ("simulate", {"simulate": {"trials": 2, "histogram": {"bin_width": False},
+                                   "grid": {"x_min": 0.0, "x_max": 5.0, "n_points": 51}}}),
+    ], ids=["p", "n_points", "solve-z", "toeplitz-scale", "sigma2", "trials", "p-string",
+            "p-bool", "n-fraction", "x_min-bool", "x_max-inf", "n_points-fraction",
+            "n_points-float", "toeplitz-scale-bool", "solve-z-bool", "sigma2-string",
+            "trials-float", "seed-string", "outliers-trials-bool", "bin_width-bool"])
     def test_malformed_number_is_config_error(self, tmp_path, capsys, command, patch):
         payload = {"version": 1, "model": MP_MODEL,
                    "density": {"x_min": 0.0, "x_max": 5.0, "n_points": 51},

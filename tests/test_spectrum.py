@@ -7,11 +7,12 @@ import pytest
 from helpers import THREECLASS_SPECS, mp_density, mp_edges, mp_params, threeclass_params
 
 from specbulk.errors import ValidationError
-from specbulk.fixed_point import DEFAULT_OPTIONS, SolverOptions, _trial, solve_g
-from specbulk.model import ModelParams, build_covariance, validate_model
+from specbulk.fixed_point import DEFAULT_OPTIONS, SolverOptions, _trace_terms, _trial, solve_g
+from specbulk.model import CovarianceSpec, ModelParams, build_covariance, validate_model
 from specbulk.montecarlo import sample_w, trial_seed, zero_eigenvalue_count
 from specbulk.spectrum import (
     DensityGrid,
+    _count,
     _trace_edge,
     atom_at_zero,
     density_at,
@@ -169,24 +170,50 @@ class TestSupportDetect:
         np.testing.assert_allclose(_edges(grid), _orthogonal_edges(centre), rtol=1e-9, atol=0)
 
     def test_gap_with_two_candidates(self):
-        # spacing 0.1 leaves two candidates, 1.0 and 1.1, in the gap
-        # (0.9026, 1.1696); the reference edges come from fine grids
+        # spacing 0.1 puts 1.0 and 1.1 in the gap (0.9026, 1.1696); 1.1 is
+        # a local minimum of the density, so both are candidates, and the
+        # trial at 1.0 traces the whole gap; the reference edges come from
+        # fine grids
         grid = density_grid(0.0, 45.0, 451, _threeclass_c0_two())
         np.testing.assert_allclose(
             _edges(grid), [0.2293001215, 0.9025808306, 1.1695539080, 40.3512650766],
             rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("classes, sizes, p, grid, edges", [
+        # the trace from the lowest gap once stepped past its fold and
+        # across the whole component, leaving an empty support; the
+        # references come from 1,201- and 2,001-point grids
+        (((1.2, 0.4),), (160,), 64, (0, 20, 301), [0.264136808216, 11.5434925821]),
+        (((1.0, 0.4),), (128,), 64, (0, 16, 301), [0.114823695104, 8.21246119083]),
+        # the shipped atom model (C = I, p = 16, n = 32): the gap next to the
+        # atom once counted as support, from a left edge of 0
+        (((1.0, 0.0),), (32,), 16, (0, 6.5, 44), [(np.sqrt(2) - 1) ** 2, (np.sqrt(2) + 1) ** 2]),
+        (((1.0, 0.0),), (32,), 16, (0, 6.5, 40), [(np.sqrt(2) - 1) ** 2, (np.sqrt(2) + 1) ** 2]),
+        # the gap (1.3716, 2.0087) holds no local minimum of the density:
+        # only the neighbour of one across its edge finds it
+        (((9.0867, 0.4533), (0.5948, 0.0465), (0.2014, 0.1106)), (18, 20, 64), 64,
+         (0, 154, 301), [0.0, 1.371564111, 2.008723621, 26.6938562607]),
+    ], ids=["toeplitz-1.2", "toeplitz-1", "atom-44", "atom-40", "neighbour"])
+    def test_reference_edges(self, classes, sizes, p, grid, edges):
+        covs = tuple(build_covariance(CovarianceSpec("toeplitz", scale=scale, rho=rho), p)
+                     for scale, rho in classes)
+        params = validate_model(ModelParams(p=p, class_sizes=sizes, covariances=covs))
+        found = _edges(density_grid(*grid, params))
+        np.testing.assert_allclose(found, edges, rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("x, toward, edge", [
-        # without the jump test (_ARC_DRIFT), the left traces from 3.65 and
-        # 4.1 land on the lowest gap's arc and end at x = 0
+        # without the count test, the left traces from 3.65 and 4.1 land on
+        # the lowest gap's arc, where rho(Omega) < 1 too, and end at x = 0
         (3.65, -1, 1.1266209673), (4.1, -1, 1.1266209673), (1.2, 1, 4.2313605508),
     ])
     def test_trace_reaches_its_own_edge(self, x, toward, edge):
         params = threeclass_params(64)
-        g, _, _, _, omega, _ = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
+        g, _, _, t, omega, _ = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
         dh = np.hstack([np.eye(3) - omega, -params.c0 * g[:, None] ** 2])
+        count = _count(x, t, _trace_terms(g, x, params)[1], params)
         bound = 0.0 if toward < 0 else 30.0
-        reached = _trace_edge(np.r_[g, x], dh, toward, bound, 0.05, params, DEFAULT_OPTIONS)
+        reached = _trace_edge(np.r_[g, x], dh, count, toward, bound, 0.05, params,
+                              DEFAULT_OPTIONS)
         assert reached == pytest.approx(edge, rel=1e-9)
 
     def test_zero_density_grid_empty(self):
@@ -205,14 +232,16 @@ class TestSupportDetect:
         assert support_detect(grid) == ()
 
     def test_empty_grid_rejected(self):
+        # a one-point grid has no spacing to step from, as for density_grid
         params = mp_params(1, 1, p=8)
-        grid = DensityGrid(
-            xs=np.array([]), density=np.array([]), eta=1e-3, support=(),
-            atom_at_zero=0.0, total_mass=0.0, params=params, opts=OPTS,
-            g=np.zeros((0, params.k), dtype=complex),
-        )
-        with pytest.raises(ValidationError):
-            support_detect(grid)
+        for size in (0, 1):
+            grid = DensityGrid(
+                xs=np.linspace(0.5, 1.0, size), density=np.ones(size), eta=1e-3,
+                support=(), atom_at_zero=0.0, total_mass=0.0, params=params, opts=OPTS,
+                g=np.zeros((size, params.k), dtype=complex),
+            )
+            with pytest.raises(ValidationError):
+                support_detect(grid)
 
 
 class TestAtomAtZero:
