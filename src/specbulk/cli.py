@@ -3,15 +3,17 @@
     specbulk <density|solve|simulate|equivalents> --config FILE --out DIR
              [--seed N] [--workers N] [--z RE,IM ...]
 
-Configs are strict JSON documents with a version field; unknown keys are
-rejected. --workers N (N >= 1, else a config error) runs the Monte Carlo
-trials of simulate on min(N, trials) threads, with output identical to
---workers 1. Exit codes: 0 success, 1 config error, 2 numerical error,
-3 simulation assertion failure.
+Configs are strict JSON documents whose version field is the integer 1;
+unknown keys are rejected. --workers N (N >= 1, else a config error) runs
+the Monte Carlo trials of simulate on min(N, trials) threads, with output
+identical to --workers 1. Exit codes: 0 success, 1 config error,
+2 numerical error, 3 simulation assertion failure. `main` parses with one
+parser, built once per process; `build_parser` returns a fresh one.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -94,6 +96,8 @@ def load_config(path) -> tuple[dict, str]:
         "config root",
         required={"version", "model"},
     )
+    if type(cfg["version"]) is not int or cfg["version"] != 1:
+        raise ConfigError(f"config version must be the integer 1, got {cfg['version']!r}")
     return cfg, digest
 
 
@@ -147,8 +151,7 @@ def _json_complex(z: complex):
 def _write_json(path, payload: dict, digest: str):
     payload = {"config_sha256": digest, **payload}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_density(cfg, digest, out_dir):
@@ -381,8 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # the parser of main, built once per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg, digest = load_config(args.config)
         z_values = [_parse_z(text) for text in args.z]

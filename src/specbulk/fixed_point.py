@@ -48,6 +48,7 @@ inversion costs m inverses of size b. `_pair_traces`, `_q_tilde` and
 """
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -135,7 +136,7 @@ def _mixture_blocks(g, params: ModelParams) -> np.ndarray:
     blocks = params.blocks
     w = params.c * g
     if np.iscomplexobj(w):
-        w = np.stack([w.real, w.imag], axis=1)
+        w = w.view(float).reshape(-1, 2)
     flat = blocks.reshape(len(blocks), -1).T @ w
     mix = (flat.view(complex) if flat.ndim == 2 else flat).reshape(blocks.shape[1:])
     mix.reshape(len(mix), -1)[:, :: mix.shape[-1] + 1] += 1.0
@@ -199,7 +200,7 @@ def _psi_jacobian(t, minv, z, params: ModelParams):
     """
     pair = _pair_traces(minv, minv, params)
     u2 = (z - t) ** 2
-    return (params.c[None, :] / params.c0) * pair / u2[:, None]
+    return params.c_over_c0 * pair / u2[:, None]
 
 
 def _blocks_times(blocks, op):
@@ -274,12 +275,12 @@ def _psi_eval(g, z, params):
     """One Psi application: (f, residual, traces, mixture inverse)."""
     t, minv = _trace_terms(g, z, params)
     denom = z - t
-    if np.any(np.abs(denom) < _NORM_FLOOR):
+    if (abs(denom) < _NORM_FLOOR).any():
         raise NumericalSingularityError(
             f"vanishing denominator z - trace at z={z}", z=z
         )
     f = -1.0 / (params.c0 * denom)
-    resid = np.abs(f - g).max() / (np.abs(g).max() + _NORM_FLOOR)
+    resid = abs(f - g).max() / (abs(g).max() + _NORM_FLOOR)
     return f, float(resid), t, minv
 
 
@@ -288,22 +289,22 @@ def _wrong_half_plane(candidate, z):
     if z.imag == 0.0:
         return False
     sign = 1.0 if z.imag > 0 else -1.0
-    scale = np.abs(candidate).max() + _NORM_FLOOR
-    return bool(np.any(sign * candidate.imag < -0.02 * scale))
+    scale = abs(candidate).max() + _NORM_FLOOR
+    return bool((sign * candidate.imag < -0.02 * scale).any())
 
 
 def _violates_signs(z, g):
     """True when Im g_a or Im z g_a has the wrong sign beyond a 1e-10 slack."""
     sign = 1.0 if z.imag > 0 else -1.0
-    slack = 1e-10 * (np.abs(g).max() + _NORM_FLOOR)
-    return bool(np.any(sign * g.imag < -slack)
-                or np.any(sign * (z * g).imag < -slack * abs(z)))
+    slack = 1e-10 * (abs(g).max() + _NORM_FLOOR)
+    return bool((sign * g.imag < -slack).any()
+                or (sign * (z * g).imag < -slack * abs(z)).any())
 
 
 def _check_bound(z, g, params: ModelParams):
     """c0 |g_a| <= 1/|Im z|, which `_trial` leaves unchecked."""
     bound = 1.0 / abs(z.imag)
-    if np.any(params.c0 * np.abs(g) > bound * (1.0 + 1e-8)):
+    if (params.c0 * abs(g) > bound * (1.0 + 1e-8)).any():
         raise ConsistencyError(
             f"solution at z={z} violates c0 |g_a| <= 1/|Im z|"
         )
@@ -346,7 +347,7 @@ def _predict(z, z1, g1, d1, z0, g0, d0):
     secant = g1 + (s - 1.0) * (g1 - g0)
     cubic = ((2.0 * s3 - 3.0 * s2 + 1.0) * g0 + (s3 - 2.0 * s2 + s) * h * d0
              + (3.0 * s2 - 2.0 * s3) * g1 + (s3 - s2) * h * d1)
-    trusted = (np.abs(cubic - secant).max() <= np.abs(secant - g1).max()
+    trusted = (abs(cubic - secant).max() <= abs(secant - g1).max()
                and not _wrong_half_plane(secant, z) and not _wrong_half_plane(cubic, z))
     return cubic if trusted else g1  # a NaN slope is never trusted
 
@@ -393,10 +394,9 @@ def _trial(z, guess, params, opts, spent=0):
     the budget raises NonConvergenceError (`_check_budget`).
     """
     cap = min(_TRIAL_EVALS, opts.max_iter - spent)
-    real = np.isrealobj(z) and np.isrealobj(guess)
+    real = not isinstance(z, complex) and np.isrealobj(guess)
     g = np.asarray(guess, dtype=float if real else complex)
     f, resid, evals, jac, rho = None, float("nan"), 1, None, float("nan")
-    eye = np.eye(params.k)
     with np.errstate(all="ignore"):
         try:
             f, resid, t, minv = _psi_eval(g, z, params)
@@ -405,7 +405,7 @@ def _trial(z, guess, params, opts, spent=0):
         while f is not None and not resid <= opts.tol and evals < cap:
             jac = _psi_jacobian(t, minv, z, params)
             try:
-                step = np.linalg.solve(eye - jac, f - g)
+                step = np.linalg.solve(_identity(params.k) - jac, f - g)
             except np.linalg.LinAlgError:
                 break
             for frac in (1.0, 0.5):
@@ -514,7 +514,7 @@ def _solve_real(x, params, opts, warm_start=None):
                 f"real-axis solve at z={x} not certified by rho(Omega) < 1; "
                 "the point is inside or too close to the support"
             )
-    if x < 0 and np.any(params.c0 * g <= 0):
+    if x < 0 and (params.c0 * g <= 0).any():
         raise ConsistencyError(
             f"real-axis solve at z={x} lost positivity of c0 g_a"
         )
@@ -617,12 +617,20 @@ def g_derivative(point: ResolventPoint, params: ModelParams) -> np.ndarray:
 def _g_prime(omega, g, z, params: ModelParams) -> np.ndarray:
     """Solve (I - Omega) g' = c0 g^2 for the kernel Omega at a fixed point."""
     try:
-        return np.linalg.solve(np.eye(params.k) - omega, params.c0 * g**2)
+        return np.linalg.solve(_identity(params.k) - omega, params.c0 * g**2)
     except np.linalg.LinAlgError as exc:
         raise NumericalSingularityError(
             f"I - Omega(z,z) singular at z={z}: too close to the support",
             z=z,
         ) from exc
+
+
+@functools.cache
+def _identity(k: int) -> np.ndarray:
+    """The k x k identity, built once per k and read-only."""
+    eye = np.eye(k)
+    eye.setflags(write=False)
+    return eye
 
 
 def _require_validated(params: ModelParams) -> ModelParams:

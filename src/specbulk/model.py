@@ -170,6 +170,13 @@ class ModelParams:
     def c0(self) -> float:
         return self.p / self.n
 
+    @cached_property
+    def c_over_c0(self) -> np.ndarray:
+        """The (1, k) row c_b / c0 of the Jacobian of Psi, read-only."""
+        row = self.c[None, :] / self.c0
+        row.setflags(write=False)
+        return row
+
     def class_slices(self) -> list[slice]:
         """Column ranges of each class inside the n columns of W."""
         out, start = [], 0

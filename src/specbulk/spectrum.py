@@ -24,6 +24,7 @@ from .fixed_point import (
     _TRIAL_EVALS,
     DEFAULT_OPTIONS,
     SolverOptions,
+    _identity,
     _psi_eval,
     _psi_jacobian,
     _trace_terms,
@@ -148,7 +149,7 @@ def _tangent(dh, u, ref):
     |g_a| / (1 + |x|) so that a fold is as sharp in g as in x, and the arc's
     tangent there: the null vector of the derivative dh of H, of unit length
     in the norm |w * .|, on the side of the direction ref."""
-    w = np.r_[(1.0 + abs(u[-1])) / np.abs(u[:-1]), 1.0]
+    w = np.append((1.0 + abs(u[-1])) / abs(u[:-1]), 1.0)
     null = np.linalg.svd(dh / w)[2][-1]
     return (null if null @ (w * ref) >= 0.0 else -null) / w, w
 
@@ -173,12 +174,12 @@ def _arc_point(u, tangent, w, s, params, opts):
                 break
             last = resid
             jac = _psi_jacobian(t, minv, v[k], params)
-            dh = np.hstack([np.eye(k) - jac, -params.c0 * f[:, None] ** 2])
+            dh = np.concatenate([_identity(k) - jac, -params.c0 * f[:, None] ** 2], 1)
             if resid <= opts.tol:
                 certified = np.isfinite(jac).all() and spectral_radius(jac) < 1.0
                 return v, dh, _count(v[k], t, minv, params) if certified else None, evals
-            v = v - np.linalg.solve(np.vstack([dh, normal]),
-                                    np.r_[v[:k] - f, normal @ (v - u) - s])
+            v = v - np.linalg.solve(np.concatenate([dh, normal[None]]),
+                                    np.append(v[:k] - f, normal @ (v - u) - s))
         except (NumericalSingularityError, np.linalg.LinAlgError):
             break
     return None, None, None, evals
@@ -201,7 +202,7 @@ def _trace_edge(u, dh, count, toward, bound, h, params, opts) -> float:
     arclength near a fold, so that point is within about opts.tol of it.
     """
     k = params.k
-    tangent, w = _tangent(dh, u, toward * np.eye(k + 1)[k])
+    tangent, w = _tangent(dh, u, toward * _identity(k + 1)[k])
     grow = True
     while toward * (bound - u[k]) > 0.0:
         v, dh_v, count_v, evals = _arc_point(u, tangent, w, h, params, opts)
@@ -227,8 +228,8 @@ def _certified_support(grid: DensityGrid, xs, candidates):
             g, _, _, t, omega, _ = _trial(xs[i], np.real(grid.g[i]), params, opts)
             if g is None:
                 continue
-            u = np.r_[g, xs[i]]
-            dh = np.hstack([np.eye(params.k) - omega, -params.c0 * g[:, None] ** 2])
+            u = np.append(g, xs[i])
+            dh = np.concatenate([_identity(params.k) - omega, -params.c0 * g[:, None] ** 2], 1)
             count = _count(xs[i], t, _trace_terms(g, xs[i], params)[1], params)
             lo = -np.inf
             if i > 0 and xs[i - 1] > 0.0:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,3 +328,50 @@ class TestConfigValidation:
             params = model_from_config(cfg)
             assert params.validated
             solver_from_config(cfg)
+
+    @pytest.mark.parametrize("version", ["two", 2, 1.0, True, None, [1]])
+    def test_version_other_than_integer_one(self, tmp_path, capsys, version):
+        cfg = _write_config(tmp_path, {"version": version, "model": MP_MODEL,
+                                       "solve": {"z": [[0.0, 2.0]]}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config version")
+        assert repr(version) in err
+        assert not out.exists()
+
+
+class TestReusedParser:
+    # main parses every call in one process; no option of one call may carry
+    # into the next. Each output must equal that of the same call made alone,
+    # in a fresh interpreter.
+
+    @staticmethod
+    def _alone(argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "specbulk.cli", *argv], env=env,
+                              capture_output=True, timeout=120).returncode
+
+    @pytest.mark.parametrize("first, second, differ", [
+        (["solve", "--z", "0,2", "--z", "1,-0.5"], ["solve"], True),
+        (["simulate", "--seed", "5"], ["simulate"], True),
+        # --workers leaves the output as it is
+        (["simulate", "--workers", "2"], ["simulate"], False),
+    ], ids=["solve-z", "simulate-seed", "simulate-workers"])
+    def test_second_call_is_its_own(self, tmp_path, first, second, differ):
+        payload = {"version": 1, "model": MP_MODEL, "solve": {"z": [[0.0, 2.0], [-1.0, 0.0]]},
+                   "simulate": {"trials": 3, "seed": 11,
+                                "grid": {"x_min": 0.0, "x_max": 5.0, "n_points": 101},
+                                "histogram": {"bin_width": 0.25},
+                                "outliers": {}}}
+        cfg = _write_config(tmp_path, payload)
+        outputs = []
+        for i, argv in enumerate((first, second)):
+            reused, alone = tmp_path / f"reused-{i}", tmp_path / f"alone-{i}"
+            assert main([*argv, "--config", cfg, "--out", str(reused)]) == 0
+            assert self._alone([*argv, "--config", cfg, "--out", str(alone)]) == 0
+            (name,) = (path.name for path in alone.iterdir())
+            assert (reused / name).read_bytes() == (alone / name).read_bytes()
+            outputs.append((reused / name).read_bytes())
+        assert (outputs[0] != outputs[1]) is differ

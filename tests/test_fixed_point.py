@@ -5,7 +5,12 @@ from helpers import mixture_matrix, mp_params, mp_stieltjes, psi_step, threeclas
 
 from specbulk import fixed_point
 from specbulk.equivalents import second_order
-from specbulk.errors import ConsistencyError, NonConvergenceError, ValidationError
+from specbulk.errors import (
+    ConsistencyError,
+    NonConvergenceError,
+    NumericalSingularityError,
+    ValidationError,
+)
 from specbulk.fixed_point import (
     SolverOptions,
     _check_bound,
@@ -528,3 +533,134 @@ def _expand(diag, params):
     """The p x p matrix with eigenvalues diag in the model's joint eigenbasis."""
     u = params.basis
     return np.diag(diag) if u is None else (u * diag) @ u.T
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestCertificateHelpers:
+    # the half-plane, sign, bound and floor tests of the corrector, pinned
+    # on the edge cases: either half-plane, the real axis, Im z = -0.0,
+    # NaN and inf entries, and a denominator z - t below _NORM_FLOOR
+
+    @pytest.mark.parametrize("z, candidate, expected", [
+        (1 + 2j, [0.1 + 0.3j, -0.2 + 0.01j], False),
+        (1 + 2j, [0.1 + 0.3j, 0.2 - 0.01j], True),
+        (1 + 2j, [1.0 - 0.019j], False),  # within 2% of the largest |entry|
+        (1 + 2j, [1.0 - 0.021j], True),
+        (1 - 2j, [0.1 - 0.3j, 0.2 - 0.01j], False),
+        (1 - 2j, [0.1 - 0.3j, 0.2 + 0.01j], True),
+        (1 + 2j, [0.5, -1.5], False),  # a real candidate
+        (2.0 + 0j, [0.1 - 5j], False),  # the real axis has no half-plane
+        (complex(2.0, -0.0), [0.1 - 5j], False),
+        (1 + 2j, [NAN, 0.2 - 5j], False),  # NaN scale: no comparison holds
+        (1 + 2j, [complex(0.1, NAN)], False),
+        (1 + 2j, [INF, 0.2 - 5j], False),  # inf scale: no finite part is below it
+        (1 + 2j, [complex(0.1, -INF)], False),
+        (1 - 2j, [complex(0.1, INF)], False),
+    ], ids=["upper-in", "upper-out", "upper-slack", "upper-past-slack", "lower-in",
+            "lower-out", "real-candidate", "real-z", "minus-zero-z", "nan-real",
+            "nan-imag", "inf-real", "minus-inf-imag", "inf-imag-lower"])
+    def test_wrong_half_plane(self, z, candidate, expected):
+        with np.errstate(all="ignore"):  # as in _trial
+            assert fixed_point._wrong_half_plane(np.array(candidate), z) is expected
+
+    @pytest.mark.parametrize("z, g, expected", [
+        (2j, [0.5j], False),  # -1/z: Im g > 0, Im z g = 0
+        (2j, [0.3 + 0.2j, 0.1 + 0.4j], False),
+        (2j, [0.3 - 0.2j], True),
+        (2j, [0.5 - 1e-12j], False),  # Im g within the 1e-10 slack
+        (2j, [0.5 - 1e-9j], True),
+        (2j, [-1e-12 + 0.5j], False),  # Im z g within the slack
+        (2j, [-1e-9 + 0.5j], True),
+        (-1 + 1j, [0.1 + 0.5j], True),  # Im z g = 0.1 - 0.5 < 0
+        (-2j, [-0.5j], False),
+        (-2j, [0.5j], True),
+        (2.0 + 0j, [0.5j], True),  # at real z the sign taken is -1
+        (complex(2.0, -0.0), [-0.5j], False),
+        (2j, [NAN + 0.5j, 0.5j], False),
+        (2j, [complex(0.3, NAN)], False),
+        (2j, [complex(INF, 1.0)], False),
+        (2j, [complex(0.0, -INF)], False),
+    ], ids=["upper-asymptote", "upper-two", "upper-im-g", "upper-slack",
+            "upper-past-slack", "upper-zg-slack", "upper-zg-past-slack",
+            "upper-im-zg", "lower-in", "lower-out", "real-z",
+            "minus-zero-z", "nan-real", "nan-imag", "inf-real", "minus-inf-imag"])
+    def test_violates_signs(self, z, g, expected):
+        with np.errstate(all="ignore"):  # as in _trial
+            assert fixed_point._violates_signs(z, np.array(g)) is expected
+
+    @pytest.mark.parametrize("z, g, raises", [
+        (2j, [0.5j], False),
+        (2j, [0.5j * (1.0 + 1e-9)], False),  # within the 1e-8 slack
+        (2j, [0.5j * (1.0 + 1e-7)], True),
+        (-2j, [0.4 - 0.3j], False),
+        (-2j, [0.4 - 0.31j], True),
+        (0.5j, [1.0, 2.0j], False),
+        (0.5j, [1.0, 2.1j], True),
+        (2j, [NAN], False),
+        (2j, [complex(INF, 0.0)], True),
+        (2j, [complex(0.0, -INF)], True),
+    ], ids=["upper-in", "upper-slack", "upper-out", "lower-in", "lower-out",
+            "two-in", "two-out", "nan", "inf-real", "minus-inf-imag"])
+    def test_check_bound(self, z, g, raises):
+        params = mp_params(1, 1, p=4)  # c0 = 1: the bound is |g_a| <= 1/|Im z|
+        if raises:
+            with pytest.raises(ConsistencyError):
+                _check_bound(z, np.array(g), params)
+        else:
+            _check_bound(z, np.array(g), params)
+
+    @pytest.mark.parametrize("z", [2.0 + 0j, complex(2.0, -0.0)], ids=["real", "minus-zero"])
+    def test_check_bound_undefined_on_the_real_axis(self, z):
+        # solve_g checks the bound at complex z only
+        with pytest.raises(ZeroDivisionError):
+            _check_bound(z, np.array([0.5]), mp_params(1, 1, p=4))
+
+    @pytest.mark.parametrize("model", ["identity", "two_blocks"])
+    @pytest.mark.parametrize("z", [1.5 + 0.7j, 1.5 - 0.7j, -0.8 + 0j, complex(3.0, -0.0)],
+                             ids=["upper", "lower", "real", "minus-zero"])
+    def test_psi_eval(self, model, z):
+        params = mp_params(1, 2, p=16) if model == "identity" else threeclass_params(64)
+        g = initial_guess(z, params)
+        g = g.real if z.imag == 0.0 else g
+        f, resid, t, minv = fixed_point._psi_eval(g, z, params)
+        ref_t, ref_minv = fixed_point._trace_terms(g, z, params)
+        np.testing.assert_array_equal(t, ref_t)
+        np.testing.assert_array_equal(minv, ref_minv)
+        expected = -1.0 / (params.c0 * (z - t))
+        np.testing.assert_array_equal(f, expected)
+        assert np.signbit(f.imag).tolist() == np.signbit(expected.imag).tolist()
+        assert type(resid) is float
+        assert resid == np.abs(f - g).max() / (np.abs(g).max() + fixed_point._NORM_FLOOR)
+        # against the dense definition of Psi
+        dense = np.linalg.inv(mixture_matrix(g, params))
+        traces = np.array([np.trace(cov @ dense) for cov in params.covariances]) / params.p
+        ref = -1.0 / (params.c0 * (z - traces))
+        assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("g", [[NAN], [INF], [complex(NAN, 1.0)]],
+                             ids=["nan", "inf", "nan-complex"])
+    def test_psi_eval_non_finite_iterate(self, g):
+        # a non-finite iterate gives a NaN residual, which no tol accepts
+        params = mp_params(1, 1, p=4)
+        with np.errstate(all="ignore"):  # as in _trial
+            _, resid, _, _ = fixed_point._psi_eval(np.array(g), 2j, params)
+        assert np.isnan(resid)
+
+    @pytest.mark.parametrize("z, raises", [
+        (1.0 + 0j, True),  # z - t = 0 exactly: t = 1 at g = 0 on C = I
+        (1.0 + 1e-31j, True),
+        (1.0 - 1e-31j, True),
+        (1.0 + 1e-29j, False),
+    ], ids=["zero", "upper-below-floor", "lower-below-floor", "above-floor"])
+    def test_psi_eval_denominator_floor(self, z, raises):
+        params = mp_params(1, 1, p=4)
+        g = np.zeros(1)
+        if raises:
+            with pytest.raises(NumericalSingularityError, match="vanishing denominator"):
+                fixed_point._psi_eval(g, z, params)
+        else:
+            f, resid, t, _ = fixed_point._psi_eval(g, z, params)
+            assert t.tolist() == [1.0]
+            np.testing.assert_array_equal(f, -1.0 / (params.c0 * (z - t)))
