@@ -237,49 +237,59 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
     opts = solver_from_config(cfg)
     grid = spectrum.density_grid(x_min, x_max, n_points, params, opts)
 
-    reports = {}
-    failures = []
-    if "histogram" in section:
-        hist_cfg = section["histogram"]
+    # every section is read and checked before the one draw the reports share
+    hist_cfg = section.get("histogram")
+    if hist_cfg is not None:
         _require_keys(hist_cfg, {"bin_width", "l1_threshold"}, "simulate.histogram",
                       required={"bin_width"})
         width = _number(hist_cfg["bin_width"], "simulate.histogram.bin_width")
-        threshold = hist_cfg.get("l1_threshold")
-        if threshold is not None:
-            threshold = _number(threshold, "simulate.histogram.l1_threshold")
-        rep = mc.histogram_report(
-            params, trials, (grid.xs[0], grid.xs[-1], width),
-            grid, seed=run_seed, workers=workers,
-        )
-        payload = rep.to_dict()
-        if threshold is not None:
-            l1 = rep.metric("l1_distance").mean
-            ok = l1 <= threshold
-            payload["pass"] = ok
-            payload["threshold"] = threshold
-            if not ok:
-                failures.append(f"histogram l1_distance {l1:.4f} > {threshold}")
-        reports["histogram"] = payload
-    if "outliers" in section:
-        out_cfg = section["outliers"]
+        hist_threshold = hist_cfg.get("l1_threshold")
+        if hist_threshold is not None:
+            hist_threshold = _number(hist_threshold, "simulate.histogram.l1_threshold")
+        edges = mc._bin_edges((grid.xs[0], grid.xs[-1], width), grid)
+    out_cfg = section.get("outliers")
+    if out_cfg is not None:
         _require_keys(out_cfg, {"max_distance", "trials"}, "simulate.outliers")
         out_trials = _number(out_cfg.get("trials", trials), "simulate.outliers.trials", int)
-        threshold = out_cfg.get("max_distance")
-        if threshold is not None:
-            threshold = _number(threshold, "simulate.outliers.max_distance")
-        rep = mc.outlier_report(params, out_trials, grid, seed=run_seed,
-                                workers=workers)
+        out_threshold = out_cfg.get("max_distance")
+        if out_threshold is not None:
+            out_threshold = _number(out_threshold, "simulate.outliers.max_distance")
+        mc._check_trials(out_trials)
+        support = mc._support_of(grid)
+    counts = []
+    if hist_cfg is not None or section.get("norm_bound"):
+        counts.append(trials)
+    if out_cfg is not None:
+        counts.append(out_trials)
+    # trial t draws the same spectrum in every report, so each takes its leading slice
+    spectra = mc._pooled_eigenvalues(params, max(counts), run_seed, workers) if counts else []
+
+    reports = {}
+    failures = []
+    if hist_cfg is not None:
+        rep = mc._histogram(spectra[:trials], edges, grid, run_seed)
         payload = rep.to_dict()
-        if threshold is not None:
-            worst = rep.metric("max_distance").mean
-            ok = worst <= threshold
+        if hist_threshold is not None:
+            l1 = rep.metric("l1_distance").mean
+            ok = l1 <= hist_threshold
             payload["pass"] = ok
-            payload["threshold"] = threshold
+            payload["threshold"] = hist_threshold
             if not ok:
-                failures.append(f"outliers max_distance {worst:.4f} > {threshold}")
+                failures.append(f"histogram l1_distance {l1:.4f} > {hist_threshold}")
+        reports["histogram"] = payload
+    if out_cfg is not None:
+        rep = mc._outliers(spectra[:out_trials], support, run_seed)
+        payload = rep.to_dict()
+        if out_threshold is not None:
+            worst = rep.metric("max_distance").mean
+            ok = worst <= out_threshold
+            payload["pass"] = ok
+            payload["threshold"] = out_threshold
+            if not ok:
+                failures.append(f"outliers max_distance {worst:.4f} > {out_threshold}")
         reports["outliers"] = payload
     if section.get("norm_bound"):
-        rep = mc.norm_bound_report(params, trials, seed=run_seed, workers=workers)
+        rep = mc._norm_bound(spectra[:trials], params, run_seed)
         payload = rep.to_dict()
         if not rep.passed:
             m = rep.metric("max_norm_wwt")

@@ -32,6 +32,18 @@ part of its solution; when that too is rejected, the solve fails. The
 trials of one solve share its budget SolverOptions.max_iter of
 evaluations, and a solve that runs out of it fails.
 
+A grid sweep, `solve_grid`, solves anchors by solve_g, each from the
+cubic Hermite prediction through the two anchors before it. On a model
+with joint spectra (below) the anchors thin out: the step to the next
+anchor doubles after an anchor solved within two evaluations (its warm
+start and one Newton step) and halves, down to 1, after any other. The
+grid points between two anchors start from the cubic Hermite interpolant
+through them and are corrected together by `_stacked_trial`, which applies
+the rules of `_trial` to every point of a stack at once; a stack holds at
+most p points. A point that its stack rejects is solved alone, as a
+warm-started solve_g would be. On any other model every grid point is an
+anchor.
+
 Every evaluation goes through one kernel, `_trace_terms`, which inverts M.
 When the class covariances commute, `validate_model` stores their joint
 spectra lambda_a(i): M is then diagonal in the joint eigenbasis, with
@@ -44,7 +56,11 @@ two blocks of ceil(p/2) when every C_a commutes with the reversal
 i -> p-1-i, as symmetric Toeplitz matrices do, else the one p x p block
 C_a. M and M^{-1} are then (m, b, b) stacks in the same basis, so an
 inversion costs m inverses of size b. `_pair_traces`, `_q_tilde` and
-`_log_det_mixture` take either form, and `model._dense` expands it.
+`_log_det_mixture` take either form, and `model._dense` expands it. In
+the joint-spectra form `_trace_terms`, `_pair_traces`, `_psi_jacobian`,
+`_psi_eval` and the half-plane, sign and bound checks also take a leading
+axis of points, g of shape (P, k) at z of shape (P, 1), and return one
+result a point: the stacks of `_stacked_trial`.
 """
 from __future__ import annotations
 
@@ -85,11 +101,15 @@ _CONTINUATION_START_IM = 1.0
 _LADDER_RATIO = 2.0
 _LADDER_GROWTH = 16.0
 _LADDER_QUICK = 3
+# solve_grid doubles its anchor step after an anchor solved within this many
+# evaluations (its warm start and one Newton step) on a model with joint
+# spectra, and halves it after any other.
+_SWEEP_QUICK = 2
 # The Jacobian J that the corrector of this thread's last solve_g call
-# built. solve_grid solves each grid point by calling the module's solve_g,
-# so that a wrapper on solve_g sees every sweep point (perfbench's tracer
-# counts the sweep's evaluations per point that way), and takes each
-# point's slope from this J.
+# built. solve_grid solves each anchor by calling the module's solve_g, so
+# that a wrapper on solve_g sees every anchor (perfbench's tracer counts the
+# sweep's evaluations per anchor that way), and takes each anchor's slope
+# from this J.
 _last_solve = threading.local()
 
 
@@ -171,7 +191,7 @@ def _trace_terms(g, z, params: ModelParams):
                 f"singular mixture matrix I + sum c_b g_b C_b at z={z}", z=z
             )
         minv = 1.0 / d
-        return params.spectra @ minv / params.p, minv
+        return minv @ params.spectra.T / params.p, minv
     try:
         minv = np.linalg.inv(_mixture_blocks(g, params))
     except np.linalg.LinAlgError as exc:
@@ -200,7 +220,7 @@ def _psi_jacobian(t, minv, z, params: ModelParams):
     """
     pair = _pair_traces(minv, minv, params)
     u2 = (z - t) ** 2
-    return params.c_over_c0 * pair / u2[:, None]
+    return params.c_over_c0 * pair / u2[..., None]
 
 
 def _blocks_times(blocks, op):
@@ -216,18 +236,25 @@ def _blocks_times(blocks, op):
 def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
     """T_ab = (1/p) tr C_a L C_b R for all class pairs.
 
-    1-D operands are the diagonals of L and R in the joint eigenbasis of a
-    model with joint spectra lambda (as `_trace_terms` returns M^{-1}), and
-    T = (lambda * l * r) lambda^T / p. Otherwise the operands are (m, b, b)
+    On a model with joint spectra lambda the operands are the diagonals of
+    L and R in the joint eigenbasis (as `_trace_terms` returns M^{-1}), and
+    T_ab = (lambda_a * lambda_b) . (l * r) / p, one product with
+    `ModelParams.spectra_pairs` for all pairs, taken on the real view of a
+    complex l * r; (P, p) operands give a (P, k, k) T. Otherwise the operands are (m, b, b)
     stacks of diagonal blocks in the basis of `ModelParams.blocks`, and
     the trace is the sum over the m blocks; when R is L the matrix is
     symmetric (cyclic trace with symmetric blocks) and only its upper
     triangle is computed. Real L and R give a real T.
     """
-    if np.ndim(left) == 1:
-        lam = params.spectra
-        return (lam * (left * right)) @ lam.T / params.p
     k = params.k
+    if params.spectra is not None:
+        lr = left * right
+        if np.iscomplexobj(lr):  # (re, im) columns: a real product
+            pair = (params.spectra_pairs @ lr.view(float).reshape(lr.shape + (2,)))
+            pair = pair.view(complex)[..., 0]
+        else:
+            pair = params.spectra_pairs @ lr
+        return pair.reshape(pair.shape[:-1] + (k, k)) / params.p
     x = _blocks_times(params.blocks, left)
     y = x if right is left else _blocks_times(params.blocks, right)
     pair = np.empty((k, k), dtype=np.result_type(left, right))
@@ -280,31 +307,35 @@ def _psi_eval(g, z, params):
             f"vanishing denominator z - trace at z={z}", z=z
         )
     f = -1.0 / (params.c0 * denom)
-    resid = abs(f - g).max() / (abs(g).max() + _NORM_FLOOR)
-    return f, float(resid), t, minv
+    resid = abs(f - g).max(-1) / (abs(g).max(-1) + _NORM_FLOOR)
+    return f, resid if g.ndim > 1 else float(resid), t, minv
 
 
 def _wrong_half_plane(candidate, z):
-    """True when a step jumps toward the conjugate branch."""
-    if z.imag == 0.0:
-        return False
-    sign = 1.0 if z.imag > 0 else -1.0
-    scale = abs(candidate).max() + _NORM_FLOOR
-    return bool((sign * candidate.imag < -0.02 * scale).any())
+    """True when a step jumps toward the conjugate branch; the real axis
+    has no half-plane."""
+    sign = np.sign(z.imag)
+    scale = abs(candidate).max(-1, keepdims=True) + _NORM_FLOOR
+    wrong = (sign * candidate.imag < -0.02 * scale).any(-1)
+    return wrong if candidate.ndim > 1 else bool(wrong)
 
 
 def _violates_signs(z, g):
     """True when Im g_a or Im z g_a has the wrong sign beyond a 1e-10 slack."""
-    sign = 1.0 if z.imag > 0 else -1.0
-    slack = 1e-10 * (abs(g).max() + _NORM_FLOOR)
-    return bool((sign * g.imag < -slack).any()
-                or (sign * (z * g).imag < -slack * abs(z)).any())
+    sign = 2.0 * (z.imag > 0) - 1.0  # -1 on the real axis
+    slack = -1e-10 * (abs(g).max(-1, keepdims=True) + _NORM_FLOOR)
+    bad = ((sign * g.imag < slack) | (sign * (z * g).imag < slack * abs(z))).any(-1)
+    return bad if g.ndim > 1 else bool(bad)
+
+
+def _beyond_bound(z, g, params: ModelParams):
+    """True when c0 |g_a| > 1/|Im z| beyond a 1e-8 slack."""
+    return (params.c0 * abs(g) > (1.0 / abs(z.imag)) * (1.0 + 1e-8)).any(-1)
 
 
 def _check_bound(z, g, params: ModelParams):
     """c0 |g_a| <= 1/|Im z|, which `_trial` leaves unchecked."""
-    bound = 1.0 / abs(z.imag)
-    if (params.c0 * abs(g) > bound * (1.0 + 1e-8)).any():
+    if _beyond_bound(z, g, params):
         raise ConsistencyError(
             f"solution at z={z} violates c0 |g_a| <= 1/|Im z|"
         )
@@ -342,14 +373,20 @@ def _predict(z, z1, g1, d1, z0, g0, d0):
     """
     h = z1 - z0
     s = (z - z0) / h
-    s2 = s * s
-    s3 = s2 * s
     secant = g1 + (s - 1.0) * (g1 - g0)
-    cubic = ((2.0 * s3 - 3.0 * s2 + 1.0) * g0 + (s3 - 2.0 * s2 + s) * h * d0
-             + (3.0 * s2 - 2.0 * s3) * g1 + (s3 - s2) * h * d1)
+    cubic = _hermite(s, h, g0, d0, g1, d1)
     trusted = (abs(cubic - secant).max() <= abs(secant - g1).max()
                and not _wrong_half_plane(secant, z) and not _wrong_half_plane(cubic, z))
     return cubic if trusted else g1  # a NaN slope is never trusted
+
+
+def _hermite(s, h, g0, d0, g1, d1):
+    """The cubic Hermite polynomial of `_predict` at s; an s of shape (P, 1)
+    gives one row a point."""
+    s2 = s * s
+    s3 = s2 * s
+    return ((2.0 * s3 - 3.0 * s2 + 1.0) * g0 + (s3 - 2.0 * s2 + s) * h * d0
+            + (3.0 * s2 - 2.0 * s3) * g1 + (s3 - s2) * h * d1)
 
 
 def _check_budget(z, resid, spent, opts):
@@ -483,13 +520,14 @@ def _ladder(z, params, opts, spent=0):
     return g1, resid, spent, t, jac
 
 
-def _solve_complex(z, params, opts, warm_start=None):
+def _solve_complex(z, params, opts, warm_start=None, spent=0):
     """A trial from the warm start, else (or when it is rejected) the
-    continuation ladder; the evaluations of both count. Every trial has
-    checked the signs, so only the |g| bound is left."""
-    g, spent = None, 0
+    continuation ladder; the evaluations of both count, on top of the spent
+    ones. Every trial has checked the signs, so only the |g| bound is left."""
+    g = None
     if warm_start is not None:
-        g, resid, spent, t, jac, _ = _trial(z, warm_start, params, opts)
+        g, resid, evals, t, jac, _ = _trial(z, warm_start, params, opts, spent)
+        spent += evals
     if g is None:
         g, resid, spent, t, jac = _ladder(z, params, opts, spent)
     _check_bound(z, g, params)
@@ -560,20 +598,36 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
 def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     """Predictor-corrector sweep over an ordered list of complex points.
 
-    Point i+1 (i >= 1) starts from `_predict`, the cubic Hermite predictor
-    through (z_{i-1}, g_{i-1}, g'_{i-1}) and (z_i, g_i, g'_i), in the actual
-    spacings so that non-uniform grids are followed too; the second point
-    starts from the first point's solution. Each slope is
-    g' = c0 (I - J)^{-1} g^2 with J the Jacobian of Psi that the point's own
-    corrector built, so it costs one k x k solve and no evaluation. A
-    prediction the predictor does not trust is replaced by the previous
-    solution. The first point, and any point whose warm start is rejected
-    (it stalls within _TRIAL_EVALS evaluations or lands outside the
-    admissible half-plane), goes through the continuation ladder. The
-    predictor only moves the starting guess: each point is certified by its
-    own residual and half-plane signs. Real grid points are rejected:
-    evaluating on the axis requires an explicit eta (see the spectrum
-    module).
+    The sweep solves anchors, one after the other, each by `solve_g`. The
+    first grid point is the first anchor and the last one the last. An
+    anchor after the second starts from `_predict`, the cubic Hermite
+    predictor through the two previous anchors (z, g, g'), in the actual
+    spacings so that non-uniform grids are followed too; the second starts
+    from the first one's solution. Each slope is g' = c0 (I - J)^{-1} g^2
+    with J the Jacobian of Psi that the anchor's own corrector built, so it
+    costs one k x k solve and no evaluation. A prediction the predictor
+    does not trust is replaced by the previous solution. The first anchor,
+    and any anchor whose warm start is rejected (it stalls within
+    _TRIAL_EVALS evaluations or lands outside the admissible half-plane),
+    goes through the continuation ladder.
+
+    On a model with joint spectra the next anchor lies `step` grid points
+    ahead: step doubles after an anchor solved within _SWEEP_QUICK
+    evaluations and halves, down to 1, after any other. The points between
+    two anchors then start from the cubic Hermite interpolant through them
+    and their slopes, and are corrected together by `_stacked_trial`, in
+    stacks of at most p points, so that no array of the stack holds more
+    entries than one p x p covariance. A point that its stack rejects is
+    solved by `_solve_complex` from its interpolant, as a warm-started
+    solve_g would be, with the stack's evaluations counted in its budget
+    and in its iterations. On any other model step stays 1: every point
+    is an anchor.
+
+    The predictor only moves the starting guess: each point is certified by
+    its own residual, half-plane signs and |g| bound. A failure raises the
+    solver's exception, annotated with the grid index of the point. Real
+    grid points are rejected: evaluating on the axis requires an explicit
+    eta (see the spectrum module).
     """
     zs = [complex(zv) for zv in zs]
     if not zs:
@@ -584,22 +638,129 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
         )
     opts = opts or DEFAULT_OPTIONS
     params = _require_validated(params)
-    points = []
-    warm = slope = prev_slope = None
-    for i, zv in enumerate(zs):
-        if i >= 2 and points[-1].z != points[-2].z:
-            last, prev = points[-1], points[-2]
-            warm = _predict(zv, last.z, last.g, slope, prev.z, prev.g, prev_slope)
+    points = [None] * len(zs)
+    rows, starts = [], []  # the grid points between anchors, and their starts
+    last, i, step, warm = len(zs) - 1, 0, 1, None
+    a = d_a = b = d_b = None  # the two anchors before i, and their slopes
+    while True:
+        zv = zs[i]
+        if a is not None and zs[b] != zs[a]:
+            warm = _predict(zv, zs[b], points[b].g, d_b, zs[a], points[a].g, d_a)
         try:
             point = solve_g(zv, params, opts, warm_start=warm)
-            prev_slope, slope = slope, _g_prime(_last_solve.jac, point.g, zv, params)
+            slope = _g_prime(_last_solve.jac, point.g, zv, params)
         except SpecbulkError as exc:
-            # annotate in place: the exception keeps its type and fields
-            exc.args = (f"grid index {i} (z={zv}): {exc}",)
+            _annotate(exc, i, zv)
             raise
-        points.append(point)
+        points[i] = point
+        if b is not None and i - b > 1:
+            rows.append(np.arange(b + 1, i))
+            starts.append(_interpolate(np.array(zs[b + 1:i])[:, None], zs[b], points[b].g,
+                                       d_b, zv, point.g, slope))
+        a, d_a, b, d_b = b, d_b, i, slope
         warm = point.g
+        if i == last:
+            break
+        if params.spectra is not None:
+            step = 2 * step if point.iterations <= _SWEEP_QUICK else max(1, step // 2)
+        i = min(i + step, last)
+    if rows:
+        _fill(zs, points, np.concatenate(rows), np.concatenate(starts), params, opts)
     return points
+
+
+def _annotate(exc, i, z):
+    """Prefix the message of a solver error with its grid point, in place:
+    the exception keeps its type and fields."""
+    exc.args = (f"grid index {i} (z={z}): {exc}",)
+
+
+def _interpolate(z, z0, g0, d0, z1, g1, d1):
+    """Starts at the points z, of shape (P, 1), between two anchors: the
+    cubic Hermite interpolant through (z0, g0, g0') and (z1, g1, g1'), or
+    g1 when both anchors lie at one z."""
+    h = z1 - z0
+    if h == 0:
+        return np.tile(g1, (len(z), 1))
+    return _hermite((z - z0) / h, h, g0, d0, g1, d1)
+
+
+def _fill(zs, points, rows, starts, params, opts):
+    """Solve the grid points rows of zs into points from their starts, in
+    stacks of at most p points: each stack by `_stacked_trial`, and a
+    point that its stack rejects by `_solve_complex` from its start, with
+    the stack's evaluations spent."""
+    for lo in range(0, len(rows), params.p):
+        stack = rows[lo:lo + params.p]
+        z = np.array([zs[i] for i in stack])[:, None]
+        g, resid, evals, t, accepted = _stacked_trial(z, starts[lo:lo + params.p], params,
+                                                      opts)
+        for n, i in enumerate(stack):
+            zv = zs[i]
+            if accepted[n]:
+                points[i] = _finish(zv, g[n], resid[n], evals[n], t[n], params)
+                continue
+            try:
+                _check_budget(zv, resid[n], evals[n], opts)
+                g_i, resid_i, spent, t_i, _ = _solve_complex(
+                    zv, params, opts, starts[lo + n], int(evals[n]))
+            except SpecbulkError as exc:
+                _annotate(exc, i, zv)
+                raise
+            points[i] = _finish(zv, g_i, resid_i, spent, t_i, params)
+
+
+def _stacked_trial(z, guess, params, opts):
+    """`_trial` at the complex points z, of shape (P, 1), from the guesses
+    (P, k) on a model with joint spectra, with its rules applied to every
+    point at once: Newton steps of 1 and 1/2 on the k x k systems of the
+    points still running, the half-plane guard, at most
+    min(_TRIAL_EVALS, opts.max_iter) evaluations a point, and a stop at a
+    point's first stall. Only an M singular at some guess or candidate, or
+    a singular I - J at some point, acts on the whole stack: no point is
+    corrected, or the candidates of that step are not taken, or the
+    running points stop. A point is accepted with residual <= tol and its
+    half-plane signs and |g| bound. Returns (g, residual, evaluations,
+    traces at g, accepted), one row or entry a point.
+    """
+    cap = min(_TRIAL_EVALS, opts.max_iter)
+    g = np.array(guess, dtype=complex)
+    evals = np.ones(len(g), dtype=int)
+    with np.errstate(all="ignore"):
+        try:
+            f, resid, t, minv = _psi_eval(g, z, params)
+        except NumericalSingularityError:  # M singular at some guess
+            return g, np.full(len(g), np.nan), evals, None, np.zeros(len(g), dtype=bool)
+        live = ~(resid <= opts.tol) & (evals < cap)
+        while live.any():
+            at = np.flatnonzero(live)
+            jac = _psi_jacobian(t[at], minv[at], z[at], params)
+            try:
+                step = np.linalg.solve(_identity(params.k) - jac, (f - g)[at, :, None])[..., 0]
+            except np.linalg.LinAlgError:
+                break
+            moved = np.zeros(len(at), dtype=bool)
+            for frac in (1.0, 0.5):
+                candidate = g[at] + frac * step
+                tried = np.flatnonzero(~moved & (evals[at] < cap)
+                                       & ~_wrong_half_plane(candidate, z[at]))
+                rows = at[tried]
+                if not len(rows):
+                    continue
+                evals[rows] += 1
+                try:
+                    f_c, resid_c, t_c, minv_c = _psi_eval(candidate[tried], z[rows], params)
+                except NumericalSingularityError:
+                    continue
+                better = resid_c < resid[rows]
+                won = rows[better]
+                g[won], f[won], resid[won] = candidate[tried[better]], f_c[better], resid_c[better]
+                t[won], minv[won] = t_c[better], minv_c[better]
+                moved[tried[better]] = True
+            live[at] = moved & ~(resid[at] <= opts.tol) & (evals[at] < cap)
+        accepted = ((resid <= opts.tol) & ~_violates_signs(z, g)
+                    & ~_beyond_bound(z, g, params))
+    return g, resid, evals, t, accepted
 
 
 def g_derivative(point: ResolventPoint, params: ModelParams) -> np.ndarray:

@@ -8,7 +8,10 @@ by its key and counter alone (Salmon et al., SC 2011). At workers > 1
 the trials of a report run on threads of the calling process; the root
 GEMM and eigvalsh of a trial run in numpy and LAPACK, which release the
 GIL. Reports reduce per-trial scalars in trial order, making them
-reproducible regardless of scheduling.
+reproducible regardless of scheduling. The outlier, histogram and
+norm-bound reports are each a draw, `_pooled_eigenvalues`, and a reducer
+over its list of Gram spectra, so that the CLI's `simulate` draws the
+trials once and hands each reducer the leading trials it asks for.
 """
 from __future__ import annotations
 
@@ -125,7 +128,11 @@ def sample_w(params: ModelParams, seed: int) -> EnsembleSample:
     output for a given seed, independent of evaluation order. One Philox
     serves the draw; before column j its state is set to that of a fresh
     Philox(key=(seed, j)): counter 0, key (seed mod 2^64, j), an empty
-    buffer (buffer_pos 4) and no cached 32-bit half.
+    buffer (buffer_pos 4) and no cached 32-bit half. Column j of Z is
+    written as row j of an n x p buffer, a contiguous write, and Z is the
+    buffer's transpose. A dense root multiplies each class's columns as one
+    C-ordered copy, the operand layout of a column-by-column draw: BLAS may
+    round a product with a transposed operand differently.
     """
     p, n = params.p, params.n
     roots = _sqrt_covs(params)
@@ -133,14 +140,16 @@ def sample_w(params: ModelParams, seed: int) -> EnsembleSample:
     fresh = bits.state  # copies: counter 0, empty buffer, key (seed, 0)
     key = fresh["state"]["key"]
     gen = np.random.Generator(bits)
-    z = np.empty((p, n))
+    buf = np.empty((n, p))
     for j in range(n):
         key[1] = j
         bits.state = fresh
-        z[:, j] = gen.standard_normal(p)
+        gen.standard_normal(out=buf[j])
+    z = buf.T
     blocks = []
     for root, sl in zip(roots, params.class_slices()):
-        blocks.append(root[:, None] * z[:, sl] if root.ndim == 1 else root @ z[:, sl])
+        blocks.append(root[:, None] * z[:, sl] if root.ndim == 1
+                      else root @ np.ascontiguousarray(z[:, sl]))
     w = np.concatenate(blocks, axis=1) / np.sqrt(p)
     w.setflags(write=False)
     return EnsembleSample(seed=int(seed), w=w)
@@ -235,6 +244,11 @@ def _pooled_eigenvalues(params, trials, seed, workers=1):
         return list(ex.map(lambda s: sample_w(params, s).eigenvalues_wtw, seeds))
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+
+
 def convergence_report(params: ModelParams, z, trials: int,
                        seed: int = 0) -> McReport:
     """Per-trial trace and bilinear errors of Q against Qbar, Qt against Qtbar.
@@ -243,8 +257,7 @@ def convergence_report(params: ModelParams, z, trials: int,
     forms on the first/last coordinate pair and one fixed random unit
     pair; the Qt side takes the traces against {I, C_1..C_k}.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     z = complex(z)
     point = solve_g(z, params)
     n, p, k = params.n, params.p, params.k
@@ -318,15 +331,23 @@ def _distance_to_support(eigs, support):
 def outlier_report(params: ModelParams, trials: int, grid, seed: int = 0,
                    workers: int = 1) -> McReport:
     """Max distance of sample eigenvalues to the detected support union {0}."""
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
+    support = _support_of(grid)
+    return _outliers(_pooled_eigenvalues(params, trials, seed, workers), support, seed)
+
+
+def _support_of(grid):
+    """The support intervals of a DensityGrid, or the intervals given."""
     support = grid.support if isinstance(grid, DensityGrid) else tuple(grid)
     if not support:
         raise ValidationError("no support intervals available")
-    maxima = []
-    for eigs in _pooled_eigenvalues(params, trials, seed, workers):
-        maxima.append(float(_distance_to_support(eigs, support).max()))
-    arr = np.asarray(maxima)
+    return support
+
+
+def _outliers(spectra, support, seed: int) -> McReport:
+    """The outlier report over the Gram spectra of its trials, in trial order."""
+    trials = len(spectra)
+    arr = np.array([float(_distance_to_support(eigs, support).max()) for eigs in spectra])
     metrics = (
         McMetric("max_distance", float(arr.max())),
         McMetric("p99_distance", float(np.percentile(arr, 99))),
@@ -344,8 +365,13 @@ def histogram_report(params: ModelParams, trials: int, bins, grid: DensityGrid,
     deterministic bin masses integrate the grid density (trapezoid between
     edges) plus the atom for the bin containing zero.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
+    edges = _bin_edges(bins, grid)
+    return _histogram(_pooled_eigenvalues(params, trials, seed, workers), edges, grid, seed)
+
+
+def _bin_edges(bins, grid: DensityGrid) -> np.ndarray:
+    """The uniform bin edges of histogram_report, checked against the grid."""
     if isinstance(bins, tuple) and len(bins) == 3:
         lo, hi, width = bins
         edges = np.arange(lo, hi + width * 0.5, width)
@@ -354,13 +380,17 @@ def histogram_report(params: ModelParams, trials: int, bins, grid: DensityGrid,
     widths = np.diff(edges)
     if widths.size == 0 or not np.allclose(widths, widths[0], rtol=1e-9):
         raise ValidationError("bins must be uniform")
-    width = float(widths[0])
     if edges[0] < grid.xs[0] - 1e-12 or edges[-1] > grid.xs[-1] + 1e-12:
         raise ValidationError("bins must lie inside the density grid range")
+    return edges
 
-    counts = np.zeros(widths.size)
+
+def _histogram(spectra, edges, grid: DensityGrid, seed: int) -> McReport:
+    """The histogram report over the Gram spectra of its trials, in trial
+    order."""
+    counts = np.zeros(edges.size - 1)
     total = 0
-    for eigs in _pooled_eigenvalues(params, trials, seed, workers):
+    for eigs in spectra:
         counts += np.histogram(eigs, bins=edges)[0]
         total += eigs.size
     emp_mass = counts / total
@@ -382,7 +412,7 @@ def histogram_report(params: ModelParams, trials: int, bins, grid: DensityGrid,
         McMetric("empirical_total_mass", float(emp_mass.sum())),
         McMetric("deterministic_total_mass", float(det_mass.sum())),
     )
-    return McReport(trials=trials, seed=seed, metrics=metrics)
+    return McReport(trials=len(spectra), seed=seed, metrics=metrics)
 
 
 def variance_scaling_report(spec: ModelSpec, z, trials: int, p_list,
@@ -430,14 +460,18 @@ def norm_bound_report(params: ModelParams, trials: int, seed: int = 0,
     The assertion max <= 1.5 (1 + sqrt(n/p))^2 C_max only applies at
     p >= 128; smaller sizes report the value without a pass mark.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
+    return _norm_bound(_pooled_eigenvalues(params, trials, seed, workers), params, seed)
+
+
+def _norm_bound(spectra, params: ModelParams, seed: int) -> McReport:
+    """The norm-bound report over the Gram spectra of its trials."""
     top = 0.0
-    for eigs in _pooled_eigenvalues(params, trials, seed, workers):
+    for eigs in spectra:
         top = max(top, float(eigs[-1]))
     bound = 1.5 * (1.0 + np.sqrt(params.n / params.p)) ** 2 * params.c_max
     passed = bool(top <= bound) if params.p >= 128 else None
     metrics = (
         McMetric("max_norm_wwt", top, threshold=float(bound), passed=passed),
     )
-    return McReport(trials=trials, seed=seed, metrics=metrics)
+    return McReport(trials=len(spectra), seed=seed, metrics=metrics)

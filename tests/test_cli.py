@@ -9,7 +9,11 @@ import pytest
 
 from helpers import mp_stieltjes
 
-from specbulk.cli import main
+from specbulk import montecarlo as mc
+from specbulk.cli import main, model_from_config
+from specbulk.spectrum import density_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -155,6 +159,42 @@ class TestSimulateCommand:
                      f"--workers={workers}"]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_draws_each_trial_once(self, monkeypatch, tmp_path, capsys):
+        # the histogram and outlier reports of mp.json share its 50 trials
+        calls = []
+        inner = mc.sample_w
+
+        def counted(params, seed):
+            calls.append(seed)
+            return inner(params, seed)
+
+        monkeypatch.setattr(mc, "sample_w", counted)
+        assert main(["simulate", "--config", str(ROOT / "configs" / "mp.json"),
+                     "--out", str(tmp_path)]) == 3
+        assert len(calls) == len(set(calls)) == 50
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_match_separate_draws(self, tmp_path, workers):
+        # the reports cut from one draw of 8 trials equal the public report
+        # functions, each drawing its own trials
+        payload = self._config(trials=5, extra={"norm_bound": True})
+        payload["simulate"]["outliers"]["trials"] = 8
+        cfg = _write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        params = model_from_config(payload)
+        grid = density_grid(0.0, 5.0, 251, params)
+        expected = {
+            "histogram": mc.histogram_report(params, 5, (0.0, 5.0, 0.25), grid, seed=11),
+            "outliers": mc.outlier_report(params, 8, grid, seed=11),
+            "norm_bound": mc.norm_bound_report(params, 5, seed=11),
+        }
+        for name, rep in expected.items():
+            got = {key: reports[name][key] for key in ("trials", "seed", "metrics")}
+            assert got == json.loads(json.dumps(rep.to_dict()))
 
     def test_failed_assertion_exit_code(self, tmp_path, capsys):
         # an unattainable histogram threshold must trip exit code 3

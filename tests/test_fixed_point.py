@@ -1,9 +1,20 @@
+import collections
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import mixture_matrix, mp_params, mp_stieltjes, psi_step, threeclass_params
+from helpers import (
+    form_models,
+    mixture_matrix,
+    mp_params,
+    mp_stieltjes,
+    psi_step,
+    threeclass_params,
+)
 
 from specbulk import fixed_point
+from specbulk.cli import load_config, model_from_config
 from specbulk.equivalents import second_order
 from specbulk.errors import (
     ConsistencyError,
@@ -21,6 +32,8 @@ from specbulk.fixed_point import (
     solve_grid,
 )
 from specbulk.model import ModelParams, validate_model
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPsiStep:
@@ -312,9 +325,37 @@ class TestSolveGrid:
 
     def test_conjugate_pairs(self):
         params = mp_params(2, 1, p=8)
-        pts = solve_grid([1 + 1j, 1 - 1j, 2 + 0.5j, 2 - 0.5j], params)
-        np.testing.assert_allclose(pts[1].g, np.conj(pts[0].g), rtol=1e-10)
-        np.testing.assert_allclose(pts[3].g, np.conj(pts[2].g), rtol=1e-10)
+        pts = solve_grid([1 + 1j, 1 - 1j, 2 + 0.5j, 2 - 0.5j, 3 + 0.5j, 3 - 0.5j], params)
+        for upper, lower in zip(pts[::2], pts[1::2]):
+            np.testing.assert_allclose(lower.g, np.conj(upper.g), rtol=1e-10)
+        for pt in pts:
+            _assert_certified(pt, params)
+
+    def test_stack_across_half_planes(self, monkeypatch):
+        # a sweep out along Im z = 0.5 and back along Im z = -0.5: one stack
+        # of fill points holds points of both half-planes
+        params = mp_params(2, 1, p=8)
+        xs = np.linspace(1.0, 1.5, 30)
+        zs = list(xs + 0.5j) + list(xs[::-1] - 0.5j)
+        stacks = _record_stacks(monkeypatch)
+        pts = solve_grid(zs, params)
+        assert any((z.imag > 0).any() and (z.imag < 0).any() for z in stacks)
+        monkeypatch.undo()
+        for z, pt in zip(zs, pts):
+            cold = solve_g(z, params)
+            assert np.abs(pt.g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+            _assert_certified(pt, params)
+
+    def test_repeated_points(self):
+        # anchors and fill points at one z, and a gap whose two anchors
+        # share a z, on a commuting model
+        params = mp_params(1, 2, p=16)
+        zs = [2j] * 6 + [1 + 1j] * 5 + [2 + 1j] * 3
+        pts = solve_grid(zs, params)
+        for z, pt in zip(zs, pts):
+            cold = solve_g(z, params)
+            assert np.abs(pt.g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+            _assert_certified(pt, params)
 
     def test_real_points_rejected(self):
         with pytest.raises(ValidationError, match="explicit eta"):
@@ -335,6 +376,88 @@ class TestSolveGrid:
         assert info.value.z is not None
         assert info.value.residual is not None
         assert info.value.iterations is not None
+
+    def test_starved_fill_point_keeps_its_error(self, monkeypatch):
+        # the anchors 1e9 i (1 + 0.01 j) take 2 evaluations each, so the
+        # step doubles and index 4 is a fill point; its start, interpolated
+        # between anchors near 1e9 i, is far from g at 0.5 + 1e-8i, and its
+        # stack spends the whole budget there
+        params = mp_params(1, 1, p=4)
+        zs = [1e9j * (1 + 0.01 * j) for j in range(7)]
+        zs[4] = 0.5 + 1e-8j
+        anchors = _record_anchors(monkeypatch)
+        with pytest.raises(NonConvergenceError, match="grid index 4 ") as info:
+            solve_grid(zs, params, SolverOptions(max_iter=3))
+        assert 4 not in [zs.index(z) for z in anchors]
+        assert info.value.z == zs[4]
+        assert np.isfinite(info.value.residual)
+        assert info.value.iterations == 3
+
+    def test_rejected_fill_point_is_solved_alone(self, monkeypatch):
+        # the same grid with the default budget: the stack rejects index 4,
+        # which is then solved from its start and the ladder, every
+        # evaluation counted
+        params = mp_params(1, 1, p=4)
+        zs = [1e9j * (1 + 0.01 * j) for j in range(7)]
+        zs[4] = 0.5 + 1e-3j
+        evals = _record_evaluations(monkeypatch)
+        pts = solve_grid(zs, params)
+        assert sum(evals.values()) == sum(pt.iterations for pt in pts)
+        assert pts[4].iterations > 2 * fixed_point._TRIAL_EVALS
+        monkeypatch.undo()
+        cold = solve_g(zs[4], params)
+        assert np.abs(pts[4].g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+        _assert_certified(pts[4], params)
+
+    @pytest.mark.parametrize("name", ["mp", "atom"])
+    def test_each_point_counts_its_evaluations(self, monkeypatch, name):
+        # every evaluation made at a point's z counts in its iterations;
+        # only the first point takes the ladder, whose levels lie above it
+        params, zs = _shipped_grid(name)
+        evals = _record_evaluations(monkeypatch)
+        pts = solve_grid(zs, params)
+        assert sum(evals.values()) == sum(pt.iterations for pt in pts)
+        assert all(evals[pt.z] == pt.iterations for pt in pts[1:])
+
+    @pytest.mark.parametrize("name", ["mp", "atom"])
+    def test_stacks_hold_at_most_p_points(self, monkeypatch, name):
+        params, zs = _shipped_grid(name)
+        stacks = _record_stacks(monkeypatch)
+        anchors = _record_anchors(monkeypatch)
+        solve_grid(zs, params)
+        sizes = [len(z) for z in stacks]
+        assert sizes and max(sizes) <= params.p
+        assert sum(sizes) + len(anchors) == len(zs)
+
+    @pytest.mark.parametrize("name", ["mp", "atom", "basis_k1", "identity_p_below_n",
+                                      "diagonal_singular"])
+    def test_commuting_sweep_matches_cold_solves(self, monkeypatch, name):
+        # the shipped density grids, and a grid across the support of every
+        # commuting stored form; most points are filled between anchors
+        if name in ("mp", "atom"):
+            params, zs = _shipped_grid(name)
+        else:
+            params = form_models()[name]
+            assert params.spectra is not None
+            xs = np.linspace(0.0, 1.2 * (1.0 + np.sqrt(1.0 / params.c0)) ** 2 * params.c_max,
+                             301)
+            zs = xs + 0.1j * (xs[1] - xs[0])
+        anchors = _record_anchors(monkeypatch)
+        pts = solve_grid(zs, params)
+        assert len(anchors) < 0.6 * len(zs)
+        monkeypatch.undo()
+        for z, pt in zip(zs, pts):
+            cold = solve_g(z, params)
+            assert np.abs(pt.g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+            _assert_certified(pt, params)
+
+    def test_block_model_solves_every_point(self, monkeypatch):
+        # a model without joint spectra keeps step 1: every point is an anchor
+        params = threeclass_params(64)
+        zs = np.linspace(0.0, 30.0, 61) + 0.05j
+        anchors = _record_anchors(monkeypatch)
+        solve_grid(zs, params)
+        assert anchors == list(zs)
 
     def test_sweep_cost(self):
         # the cubic Hermite predictor plus the Newton corrector on the
@@ -396,6 +519,107 @@ class TestSolveGrid:
         d3 = solve_g(5.0 + 1e-3j, threeclass256).m_mu.imag / np.pi
         d4 = solve_g(5.0 + 1e-4j, threeclass256).m_mu.imag / np.pi
         assert abs(d3 - d4) / d4 <= 5e-3
+
+
+class TestStackedTrial:
+    @pytest.mark.parametrize("name", ["basis_k1", "identity_p_below_n", "diagonal_singular"])
+    def test_matches_trial_point_by_point(self, name):
+        # starts from close to far off, one on the conjugate branch, at
+        # points of both half-planes: the stack accepts, rejects and counts
+        # as `_trial` does at each point alone
+        params = form_models()[name]
+        rng = np.random.default_rng(5)
+        zs = rng.uniform(0.05, 4.0, 24) + 1j * 10.0 ** rng.uniform(-3.0, 0.0, 24)
+        zs[::5] = np.conj(zs[::5])
+        gs = np.array([solve_g(z, params).g for z in zs])
+        spread = np.repeat([1e-8, 1e-3, 0.3, 1.0], 6)[:, None]
+        noise = rng.standard_normal(gs.shape) + 1j * rng.standard_normal(gs.shape)
+        starts = gs * (1.0 + spread * noise)
+        starts[3] = np.conj(gs[3])
+        opts = fixed_point.DEFAULT_OPTIONS
+        g, resid, evals, t, accepted = fixed_point._stacked_trial(zs[:, None], starts,
+                                                                  params, opts)
+        assert 0 < accepted.sum() < len(zs)
+        for n, z in enumerate(zs):
+            alone, resid_n, evals_n, t_n, _, _ = fixed_point._trial(complex(z), starts[n],
+                                                                   params, opts)
+            assert (alone is not None, evals_n) == (accepted[n], evals[n])
+            if alone is not None:
+                assert np.abs(g[n] - alone).max() <= 1e-13 * np.abs(alone).max()
+                assert abs(resid[n] - resid_n) <= 1e-3 * opts.tol
+                assert np.abs(t[n] - t_n).max() <= 1e-13 * np.abs(t_n).max()
+
+
+    def test_rejects_the_other_root(self):
+        # on C = I the fixed point equation is the Marchenko-Pastur
+        # quadratic; its other root meets tol at once but has the wrong
+        # half-plane signs, and the stack rejects it as `_trial` does
+        params = form_models()["identity_p_below_n"]
+        c0 = params.c0
+        zs = np.array([0.5 + 0.1j, 1.5 + 0.01j, 3.0 - 0.1j])
+        other = np.array([[c0 / (z * mp_stieltjes(z, c0)) / c0] for z in zs])
+        opts = fixed_point.DEFAULT_OPTIONS
+        _, resid, evals, _, accepted = fixed_point._stacked_trial(zs[:, None], other, params,
+                                                                  opts)
+        assert (resid <= opts.tol).all() and (evals == 1).all()
+        assert not accepted.any()
+        for z, start in zip(zs, other):
+            assert fixed_point._trial(complex(z), start, params, opts)[0] is None
+
+
+def _shipped_grid(name):
+    """The model and the density grid x + i eta of configs/<name>.json."""
+    cfg, _ = load_config(ROOT / "configs" / f"{name}.json")
+    section = cfg["density"]
+    xs = np.linspace(section["x_min"], section["x_max"], section["n_points"])
+    return model_from_config(cfg), xs + 1j * max(1e-5, 0.1 * (xs[1] - xs[0]))
+
+
+def _record_anchors(monkeypatch):
+    """The list of z at which solve_grid calls solve_g, filled as it runs."""
+    anchors = []
+    inner = fixed_point.solve_g
+
+    def recording(z, *args, **kwargs):
+        anchors.append(z)
+        return inner(z, *args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "solve_g", recording)
+    return anchors
+
+
+def _record_stacks(monkeypatch):
+    """The z of each stack that solve_grid corrects, filled as it runs."""
+    stacks = []
+    inner = fixed_point._stacked_trial
+
+    def recording(z, guess, params, opts):
+        stacks.append(z)
+        return inner(z, guess, params, opts)
+
+    monkeypatch.setattr(fixed_point, "_stacked_trial", recording)
+    return stacks
+
+
+def _record_evaluations(monkeypatch):
+    """Psi evaluations by z, one for each point of a stacked evaluation."""
+    counts = collections.Counter()
+    inner = fixed_point._psi_eval
+
+    def counting(g, z, params):
+        counts.update(complex(zv) for zv in np.ravel(z))
+        return inner(g, z, params)
+
+    monkeypatch.setattr(fixed_point, "_psi_eval", counting)
+    return counts
+
+
+def _assert_certified(point, params):
+    """The point's own residual, half-plane sign and |g| bound checks."""
+    _, resid, _, _ = fixed_point._psi_eval(point.g, point.z, params)
+    assert resid <= fixed_point.DEFAULT_OPTIONS.tol
+    assert not _violates_signs(point.z, point.g)
+    _check_bound(point.z, point.g, params)
 
 
 class TestDerivative:

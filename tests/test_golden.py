@@ -8,14 +8,21 @@ peak. The CSV prints 12 significant digits, so its values may also differ
 by one unit in the last digit printed.
 
 A change that moves these numbers on purpose rewrites the files with
-`PYTHONPATH=src python tests/test_golden.py` and says why.
+`PYTHONPATH=src python tests/test_golden.py`, which prints each file whose
+content changed with the number of rows or values that differ, and says
+why. Both density grids are Marchenko-Pastur laws, checked against their
+closed form here to 1e-11 of the peak.
 """
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from helpers import mp_stieltjes
 
 from specbulk.cli import main
 
@@ -47,21 +54,21 @@ def _print_unit(value):
     return 10.0 ** (math.floor(math.log10(abs(value))) - 11) if value else 0.0
 
 
-def _compare_json(new, old, where, errors):
+def _compare_json(new, old, where, errors, rtol=RTOL):
     if type(new) is not type(old):
         errors.append(f"{where}: {new!r} != {old!r}")
     elif isinstance(old, dict):
         if sorted(new) != sorted(old):
             errors.append(f"{where}: keys {sorted(new)} != {sorted(old)}")
         for key in sorted(set(new) & set(old)):
-            _compare_json(new[key], old[key], f"{where}.{key}", errors)
+            _compare_json(new[key], old[key], f"{where}.{key}", errors, rtol)
     elif isinstance(old, list):
         if len(new) != len(old):
             errors.append(f"{where}: length {len(new)} != {len(old)}")
         for i, (a, b) in enumerate(zip(new, old)):
-            _compare_json(a, b, f"{where}[{i}]", errors)
+            _compare_json(a, b, f"{where}[{i}]", errors, rtol)
     elif isinstance(old, float):
-        if not abs(new - old) <= RTOL * abs(old):
+        if not abs(new - old) <= rtol * abs(old):
             errors.append(f"{where}: {new!r} != {old!r}")
     elif new != old:
         errors.append(f"{where}: {new!r} != {old!r}")
@@ -100,11 +107,53 @@ def test_golden_output(tmp_path, capsys, config, command, code):
     assert not errors, "\n".join(errors[:20])
 
 
+@pytest.mark.parametrize("config, c0", [("mp", 1.0), ("atom", 0.5)])
+def test_density_matches_closed_form(tmp_path, config, c0):
+    # (1/pi) Im m(x + i eta) of the Marchenko-Pastur law with ratio c0 = p/n,
+    # less the kernel of the atom 1 - c0 at zero when c0 < 1, clamped at zero
+    # as density_grid does
+    assert _run(config, "density", tmp_path) == 0
+    rows = np.loadtxt(tmp_path / "density.csv", delimiter=",", skiprows=2)
+    eta = json.loads((tmp_path / "support.json").read_text())["eta"]
+    xs, dens = rows[:, 0], rows[:, 1]
+    ref = np.array([max(mp_stieltjes(complex(x, eta), c0).imag / np.pi, 0.0) for x in xs])
+    atom = max(0.0, 1.0 - c0)
+    if atom:
+        ref = np.clip(ref - atom * (eta / np.pi) / (xs**2 + eta**2), 0.0, None)
+    assert np.abs(dens - ref).max() <= 1e-11 * ref.max()
+
+
+def _changed(name, new, old):
+    """The number of rows (CSV) or values (JSON) of a golden file whose
+    new content differs from the old."""
+    if name.endswith(".csv"):
+        new_rows, old_rows = new.splitlines(), old.splitlines()
+        return (sum(a != b for a, b in zip(new_rows, old_rows))
+                + abs(len(new_rows) - len(old_rows)))
+    errors = []
+    _compare_json(json.loads(new), json.loads(old), name, errors, rtol=0.0)
+    return len(errors)
+
+
 if __name__ == "__main__":
-    # rewrite the golden files from this tree's outputs
+    # rewrite the golden files from this tree's outputs, printing what changed
     for config, command, code in CASES:
-        out = GOLDEN / f"{config}-{command}"
-        for path in out.glob("*"):
-            path.unlink()
-        if _run(config, command, out) != code:
-            raise SystemExit(f"{config} {command} did not exit with {code}")
+        golden = GOLDEN / f"{config}-{command}"
+        with tempfile.TemporaryDirectory() as tmp:
+            if _run(config, command, tmp) != code:
+                raise SystemExit(f"{config} {command} did not exit with {code}")
+            new_files = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+        golden.mkdir(exist_ok=True)
+        for path in golden.glob("*"):
+            if path.name not in new_files:
+                path.unlink()
+                print(f"{path.relative_to(ROOT)}: removed")
+        for name, new in sorted(new_files.items()):
+            path = golden / name
+            old = path.read_bytes() if path.exists() else None
+            if new == old:
+                continue
+            path.write_bytes(new)
+            what = ("new file" if old is None
+                    else f"{_changed(name, new.decode(), old.decode())} differ")
+            print(f"{path.relative_to(ROOT)}: {what}")

@@ -80,6 +80,23 @@ class TestSampling:
             z[:, j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(params.p)
         assert np.array_equal(sample_w(params, seed).w, z / np.sqrt(params.p))
 
+    @pytest.mark.parametrize("name", sorted(form_models()))
+    def test_draw_matches_column_reference(self, name):
+        # W bit for bit against a draw built column by column: column j of
+        # Z from a fresh Philox keyed by (seed, j), then each class's root
+        # times its columns of Z, for every stored form
+        params = form_models()[name]
+        roots = _sqrt_covs(params)
+        for seed in (0, 7, 2**63 + 5):
+            z = np.empty((params.p, params.n))
+            for j in range(params.n):
+                key = np.array([seed, j], dtype=np.uint64)
+                z[:, j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(params.p)
+            ref = np.concatenate(
+                [root[:, None] * z[:, sl] if root.ndim == 1 else root @ z[:, sl]
+                 for root, sl in zip(roots, params.class_slices())], axis=1) / np.sqrt(params.p)
+            assert np.array_equal(sample_w(params, seed).w, ref)
+
     def test_one_philox_per_draw(self, monkeypatch):
         # one generator serves every column of a draw
         params = threeclass_params(64)
