@@ -237,8 +237,8 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
     opts = solver_from_config(cfg)
     grid = spectrum.density_grid(x_min, x_max, n_points, params, opts)
 
-    # every section is read and checked before the one draw the reports share
     hist_cfg = section.get("histogram")
+    histogram = hist_threshold = None
     if hist_cfg is not None:
         _require_keys(hist_cfg, {"bin_width", "l1_threshold"}, "simulate.histogram",
                       required={"bin_width"})
@@ -246,28 +246,25 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
         hist_threshold = hist_cfg.get("l1_threshold")
         if hist_threshold is not None:
             hist_threshold = _number(hist_threshold, "simulate.histogram.l1_threshold")
-        edges = mc._bin_edges((grid.xs[0], grid.xs[-1], width), grid)
+        histogram = (trials, (grid.xs[0], grid.xs[-1], width))
     out_cfg = section.get("outliers")
+    out_trials = out_threshold = None
     if out_cfg is not None:
         _require_keys(out_cfg, {"max_distance", "trials"}, "simulate.outliers")
         out_trials = _number(out_cfg.get("trials", trials), "simulate.outliers.trials", int)
         out_threshold = out_cfg.get("max_distance")
         if out_threshold is not None:
             out_threshold = _number(out_threshold, "simulate.outliers.max_distance")
-        mc._check_trials(out_trials)
-        support = mc._support_of(grid)
-    counts = []
-    if hist_cfg is not None or section.get("norm_bound"):
-        counts.append(trials)
-    if out_cfg is not None:
-        counts.append(out_trials)
-    # trial t draws the same spectrum in every report, so each takes its leading slice
-    spectra = mc._pooled_eigenvalues(params, max(counts), run_seed, workers) if counts else []
+    reps = mc.simulate_reports(
+        params, grid, histogram=histogram, outliers=out_trials,
+        norm_bound=trials if section.get("norm_bound") else None,
+        seed=run_seed, workers=workers,
+    )
 
     reports = {}
     failures = []
-    if hist_cfg is not None:
-        rep = mc._histogram(spectra[:trials], edges, grid, run_seed)
+    if "histogram" in reps:
+        rep = reps["histogram"]
         payload = rep.to_dict()
         if hist_threshold is not None:
             l1 = rep.metric("l1_distance").mean
@@ -277,8 +274,8 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
             if not ok:
                 failures.append(f"histogram l1_distance {l1:.4f} > {hist_threshold}")
         reports["histogram"] = payload
-    if out_cfg is not None:
-        rep = mc._outliers(spectra[:out_trials], support, run_seed)
+    if "outliers" in reps:
+        rep = reps["outliers"]
         payload = rep.to_dict()
         if out_threshold is not None:
             worst = rep.metric("max_distance").mean
@@ -288,8 +285,8 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
             if not ok:
                 failures.append(f"outliers max_distance {worst:.4f} > {out_threshold}")
         reports["outliers"] = payload
-    if section.get("norm_bound"):
-        rep = mc._norm_bound(spectra[:trials], params, run_seed)
+    if "norm_bound" in reps:
+        rep = reps["norm_bound"]
         payload = rep.to_dict()
         if not rep.passed:
             m = rep.metric("max_norm_wwt")

@@ -40,8 +40,9 @@ start and one Newton step) and halves, down to 1, after any other. The
 grid points between two anchors start from the cubic Hermite interpolant
 through them and are corrected together by `_stacked_trial`, which applies
 the rules of `_trial` to every point of a stack at once; a stack holds at
-most p points. A point that its stack rejects is solved alone, as a
-warm-started solve_g would be. On any other model every grid point is an
+most p points. A point that its stack rejects takes the rest of a
+warm-started solve_g: the stack's trial stands for its own, and the
+continuation ladder follows. On any other model every grid point is an
 anchor.
 
 Every evaluation goes through one kernel, `_trace_terms`, which inverts M.
@@ -238,23 +239,17 @@ def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
 
     On a model with joint spectra lambda the operands are the diagonals of
     L and R in the joint eigenbasis (as `_trace_terms` returns M^{-1}), and
-    T_ab = (lambda_a * lambda_b) . (l * r) / p, one product with
-    `ModelParams.spectra_pairs` for all pairs, taken on the real view of a
-    complex l * r; (P, p) operands give a (P, k, k) T. Otherwise the operands are (m, b, b)
+    T = (lambda * l * r) lambda^T / p; (P, p) operands give a (P, k, k) T.
+    Otherwise the operands are (m, b, b)
     stacks of diagonal blocks in the basis of `ModelParams.blocks`, and
     the trace is the sum over the m blocks; when R is L the matrix is
     symmetric (cyclic trace with symmetric blocks) and only its upper
     triangle is computed. Real L and R give a real T.
     """
-    k = params.k
     if params.spectra is not None:
-        lr = left * right
-        if np.iscomplexobj(lr):  # (re, im) columns: a real product
-            pair = (params.spectra_pairs @ lr.view(float).reshape(lr.shape + (2,)))
-            pair = pair.view(complex)[..., 0]
-        else:
-            pair = params.spectra_pairs @ lr
-        return pair.reshape(pair.shape[:-1] + (k, k)) / params.p
+        lam = params.spectra
+        return (lam * (left * right)[..., None, :]) @ lam.T / params.p
+    k = params.k
     x = _blocks_times(params.blocks, left)
     y = x if right is left else _blocks_times(params.blocks, right)
     pair = np.empty((k, k), dtype=np.result_type(left, right))
@@ -328,14 +323,10 @@ def _violates_signs(z, g):
     return bad if g.ndim > 1 else bool(bad)
 
 
-def _beyond_bound(z, g, params: ModelParams):
-    """True when c0 |g_a| > 1/|Im z| beyond a 1e-8 slack."""
-    return (params.c0 * abs(g) > (1.0 / abs(z.imag)) * (1.0 + 1e-8)).any(-1)
-
-
 def _check_bound(z, g, params: ModelParams):
     """c0 |g_a| <= 1/|Im z|, which `_trial` leaves unchecked."""
-    if _beyond_bound(z, g, params):
+    bound = 1.0 / abs(z.imag)
+    if (params.c0 * abs(g) > bound * (1.0 + 1e-8)).any():
         raise ConsistencyError(
             f"solution at z={z} violates c0 |g_a| <= 1/|Im z|"
         )
@@ -617,11 +608,13 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     two anchors then start from the cubic Hermite interpolant through them
     and their slopes, and are corrected together by `_stacked_trial`, in
     stacks of at most p points, so that no array of the stack holds more
-    entries than one p x p covariance. A point that its stack rejects is
-    solved by `_solve_complex` from its interpolant, as a warm-started
-    solve_g would be, with the stack's evaluations counted in its budget
-    and in its iterations. On any other model step stays 1: every point
-    is an anchor.
+    entries than one p x p covariance. A point that its stack rejects
+    takes the continuation ladder within the budget its stack left, so
+    that it spends and fails as solve_g warm-started from its interpolant
+    would; only a point that a stack-wide event cut short (see
+    `_stacked_trial`) first tries its interpolant again on its own. The
+    stack's evaluations count in each point's iterations. On any other
+    model step stays 1: every point is an anchor.
 
     The predictor only moves the starting guess: each point is certified by
     its own residual, half-plane signs and |g| bound. A failure raises the
@@ -687,23 +680,25 @@ def _interpolate(z, z0, g0, d0, z1, g1, d1):
 
 def _fill(zs, points, rows, starts, params, opts):
     """Solve the grid points rows of zs into points from their starts, in
-    stacks of at most p points: each stack by `_stacked_trial`, and a
-    point that its stack rejects by `_solve_complex` from its start, with
-    the stack's evaluations spent."""
+    stacks of at most p points, each by `_stacked_trial`. A point that its
+    stack rejects takes the rest of a warm-started solve_g, with the
+    stack's evaluations spent: the continuation ladder, or, when a
+    stack-wide event cut its trial short, first a trial of its own."""
     for lo in range(0, len(rows), params.p):
         stack = rows[lo:lo + params.p]
         z = np.array([zs[i] for i in stack])[:, None]
-        g, resid, evals, t, accepted = _stacked_trial(z, starts[lo:lo + params.p], params,
-                                                      opts)
+        g, resid, evals, t, accepted, aborted = _stacked_trial(
+            z, starts[lo:lo + params.p], params, opts)
         for n, i in enumerate(stack):
-            zv = zs[i]
-            if accepted[n]:
-                points[i] = _finish(zv, g[n], resid[n], evals[n], t[n], params)
-                continue
+            zv, spent = zs[i], int(evals[n])
             try:
-                _check_budget(zv, resid[n], evals[n], opts)
-                g_i, resid_i, spent, t_i, _ = _solve_complex(
-                    zv, params, opts, starts[lo + n], int(evals[n]))
+                if accepted[n]:
+                    _check_bound(zv, g[n], params)
+                    points[i] = _finish(zv, g[n], resid[n], spent, t[n], params)
+                    continue
+                _check_budget(zv, resid[n], spent, opts)
+                warm = starts[lo + n] if aborted[n] else None
+                g_i, resid_i, spent, t_i, _ = _solve_complex(zv, params, opts, warm, spent)
             except SpecbulkError as exc:
                 _annotate(exc, i, zv)
                 raise
@@ -716,21 +711,25 @@ def _stacked_trial(z, guess, params, opts):
     point at once: Newton steps of 1 and 1/2 on the k x k systems of the
     points still running, the half-plane guard, at most
     min(_TRIAL_EVALS, opts.max_iter) evaluations a point, and a stop at a
-    point's first stall. Only an M singular at some guess or candidate, or
-    a singular I - J at some point, acts on the whole stack: no point is
-    corrected, or the candidates of that step are not taken, or the
-    running points stop. A point is accepted with residual <= tol and its
-    half-plane signs and |g| bound. Returns (g, residual, evaluations,
-    traces at g, accepted), one row or entry a point.
+    point's first stall. A point is accepted with residual <= tol and its
+    half-plane signs, as by `_trial`, which leaves the |g| bound unchecked.
+
+    Three events act on the whole stack: an M singular at some guess (no
+    point is corrected), at some candidate (no candidate of that step is
+    taken), or a singular I - J at some point (the running points stop).
+    The points they touch are marked aborted: their trial may have ended
+    other than their own `_trial` would. Returns (g, residual, evaluations,
+    traces at g, accepted, aborted), one row or entry a point.
     """
     cap = min(_TRIAL_EVALS, opts.max_iter)
     g = np.array(guess, dtype=complex)
     evals = np.ones(len(g), dtype=int)
+    aborted = np.zeros(len(g), dtype=bool)
     with np.errstate(all="ignore"):
         try:
             f, resid, t, minv = _psi_eval(g, z, params)
         except NumericalSingularityError:  # M singular at some guess
-            return g, np.full(len(g), np.nan), evals, None, np.zeros(len(g), dtype=bool)
+            return g, np.full(len(g), np.nan), evals, None, aborted, ~aborted
         live = ~(resid <= opts.tol) & (evals < cap)
         while live.any():
             at = np.flatnonzero(live)
@@ -738,6 +737,7 @@ def _stacked_trial(z, guess, params, opts):
             try:
                 step = np.linalg.solve(_identity(params.k) - jac, (f - g)[at, :, None])[..., 0]
             except np.linalg.LinAlgError:
+                aborted[at] = True
                 break
             moved = np.zeros(len(at), dtype=bool)
             for frac in (1.0, 0.5):
@@ -751,6 +751,7 @@ def _stacked_trial(z, guess, params, opts):
                 try:
                     f_c, resid_c, t_c, minv_c = _psi_eval(candidate[tried], z[rows], params)
                 except NumericalSingularityError:
+                    aborted[rows] = True
                     continue
                 better = resid_c < resid[rows]
                 won = rows[better]
@@ -758,9 +759,8 @@ def _stacked_trial(z, guess, params, opts):
                 t[won], minv[won] = t_c[better], minv_c[better]
                 moved[tried[better]] = True
             live[at] = moved & ~(resid[at] <= opts.tol) & (evals[at] < cap)
-        accepted = ((resid <= opts.tol) & ~_violates_signs(z, g)
-                    & ~_beyond_bound(z, g, params))
-    return g, resid, evals, t, accepted
+        accepted = (resid <= opts.tol) & ~_violates_signs(z, g)
+    return g, resid, evals, t, accepted, aborted
 
 
 def g_derivative(point: ResolventPoint, params: ModelParams) -> np.ndarray:

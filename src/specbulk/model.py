@@ -177,15 +177,6 @@ class ModelParams:
         row.setflags(write=False)
         return row
 
-    @cached_property
-    def spectra_pairs(self) -> np.ndarray:
-        """The (k*k, p) products lambda_a * lambda_b of the joint spectra,
-        row a k + b, read-only: the weights of the pair traces."""
-        lam = self.spectra
-        pairs = (lam[:, None] * lam).reshape(self.k * self.k, -1)
-        pairs.setflags(write=False)
-        return pairs
-
     def class_slices(self) -> list[slice]:
         """Column ranges of each class inside the n columns of W."""
         out, start = [], 0

@@ -8,10 +8,10 @@ by its key and counter alone (Salmon et al., SC 2011). At workers > 1
 the trials of a report run on threads of the calling process; the root
 GEMM and eigvalsh of a trial run in numpy and LAPACK, which release the
 GIL. Reports reduce per-trial scalars in trial order, making them
-reproducible regardless of scheduling. The outlier, histogram and
-norm-bound reports are each a draw, `_pooled_eigenvalues`, and a reducer
-over its list of Gram spectra, so that the CLI's `simulate` draws the
-trials once and hands each reducer the leading trials it asks for.
+reproducible regardless of scheduling. The histogram, outlier and
+norm-bound reports are each a reducer over a list of Gram spectra;
+`simulate_reports` draws the trials of any of them once and hands each
+reducer the leading trials it asks for.
 """
 from __future__ import annotations
 
@@ -328,12 +328,49 @@ def _distance_to_support(eigs, support):
     return dist
 
 
+def simulate_reports(params: ModelParams, grid, *, histogram=None, outliers=None,
+                     norm_bound=None, seed: int = 0,
+                     workers: int = 1) -> dict[str, McReport]:
+    """The histogram, outlier and norm-bound reports that are asked for,
+    from one draw, keyed "histogram", "outliers" and "norm_bound".
+
+    histogram is (trials, bins) as for `histogram_report`, outliers and
+    norm_bound are trial counts; grid is that of `histogram_report` and
+    `outlier_report`. Every request is checked before the draw. Trial t
+    draws the same spectrum in each report, so the trials are drawn once,
+    for the largest count, and each report reduces its leading slice: the
+    reports equal those of the three functions run apart.
+    """
+    counts = {}
+    if histogram is not None:
+        counts["histogram"], bins = histogram
+        _check_trials(counts["histogram"])
+        edges = _bin_edges(bins, grid)
+    if outliers is not None:
+        _check_trials(outliers)
+        support = _support_of(grid)
+        counts["outliers"] = outliers
+    if norm_bound is not None:
+        _check_trials(norm_bound)
+        counts["norm_bound"] = norm_bound
+    if not counts:
+        return {}
+    spectra = _pooled_eigenvalues(params, max(counts.values()), seed, workers)
+    reports = {}
+    if histogram is not None:
+        reports["histogram"] = _histogram(spectra[:counts["histogram"]], edges, grid, seed)
+    if outliers is not None:
+        reports["outliers"] = _outliers(spectra[:outliers], support, seed)
+    if norm_bound is not None:
+        reports["norm_bound"] = _norm_bound(spectra[:norm_bound], params, seed)
+    return reports
+
+
 def outlier_report(params: ModelParams, trials: int, grid, seed: int = 0,
                    workers: int = 1) -> McReport:
     """Max distance of sample eigenvalues to the detected support union {0}."""
-    _check_trials(trials)
-    support = _support_of(grid)
-    return _outliers(_pooled_eigenvalues(params, trials, seed, workers), support, seed)
+    return simulate_reports(params, grid, outliers=trials, seed=seed,
+                            workers=workers)["outliers"]
 
 
 def _support_of(grid):
@@ -365,9 +402,8 @@ def histogram_report(params: ModelParams, trials: int, bins, grid: DensityGrid,
     deterministic bin masses integrate the grid density (trapezoid between
     edges) plus the atom for the bin containing zero.
     """
-    _check_trials(trials)
-    edges = _bin_edges(bins, grid)
-    return _histogram(_pooled_eigenvalues(params, trials, seed, workers), edges, grid, seed)
+    return simulate_reports(params, grid, histogram=(trials, bins), seed=seed,
+                            workers=workers)["histogram"]
 
 
 def _bin_edges(bins, grid: DensityGrid) -> np.ndarray:
@@ -460,8 +496,8 @@ def norm_bound_report(params: ModelParams, trials: int, seed: int = 0,
     The assertion max <= 1.5 (1 + sqrt(n/p))^2 C_max only applies at
     p >= 128; smaller sizes report the value without a pass mark.
     """
-    _check_trials(trials)
-    return _norm_bound(_pooled_eigenvalues(params, trials, seed, workers), params, seed)
+    return simulate_reports(params, None, norm_bound=trials, seed=seed,
+                            workers=workers)["norm_bound"]
 
 
 def _norm_bound(spectra, params: ModelParams, seed: int) -> McReport:

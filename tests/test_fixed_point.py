@@ -339,7 +339,7 @@ class TestSolveGrid:
         zs = list(xs + 0.5j) + list(xs[::-1] - 0.5j)
         stacks = _record_stacks(monkeypatch)
         pts = solve_grid(zs, params)
-        assert any((z.imag > 0).any() and (z.imag < 0).any() for z in stacks)
+        assert any((z.imag > 0).any() and (z.imag < 0).any() for z, _, _ in stacks)
         monkeypatch.undo()
         for z, pt in zip(zs, pts):
             cold = solve_g(z, params)
@@ -393,21 +393,48 @@ class TestSolveGrid:
         assert np.isfinite(info.value.residual)
         assert info.value.iterations == 3
 
-    def test_rejected_fill_point_is_solved_alone(self, monkeypatch):
-        # the same grid with the default budget: the stack rejects index 4,
-        # which is then solved from its start and the ladder, every
-        # evaluation counted
+    def test_rejected_fill_point_takes_the_ladder(self, monkeypatch):
+        # the same grid with the default budget: the stack rejects index 4
+        # on its own merits, and the point then spends and ends as solve_g
+        # warm-started from its interpolant, every evaluation counted
         params = mp_params(1, 1, p=4)
         zs = [1e9j * (1 + 0.01 * j) for j in range(7)]
         zs[4] = 0.5 + 1e-3j
         evals = _record_evaluations(monkeypatch)
+        stacks = _record_stacks(monkeypatch)
         pts = solve_grid(zs, params)
         assert sum(evals.values()) == sum(pt.iterations for pt in pts)
-        assert pts[4].iterations > 2 * fixed_point._TRIAL_EVALS
+        (z, guess, (_, _, _, _, accepted, aborted)), = stacks
+        n = list(z[:, 0]).index(zs[4])
+        assert not accepted[n] and not aborted.any()
         monkeypatch.undo()
+        warm = solve_g(zs[4], params, warm_start=guess[n])
+        assert pts[4].iterations == warm.iterations > fixed_point._TRIAL_EVALS
+        np.testing.assert_array_equal(pts[4].g, warm.g)
         cold = solve_g(zs[4], params)
         assert np.abs(pts[4].g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
         _assert_certified(pts[4], params)
+
+    def test_aborted_stack_retries_each_start(self):
+        # a guess at which M = (1 + c g) I is singular aborts the whole
+        # stack: each point tries its own start after the one evaluation
+        # the stack spent, as a warm-started solve_g would
+        params = mp_params(1, 1, p=4)
+        zs = [1.0 + 0.1j, 2.0 + 0.1j, 3.0 + 0.1j, 2.5 + 0.2j]
+        starts = np.array([solve_g(z, params).g * (1 + 1e-6) for z in zs])
+        starts[1] = -1.0 / params.c[0]
+        g, _, evals, _, accepted, aborted = fixed_point._stacked_trial(
+            np.array(zs)[:, None], starts, params, fixed_point.DEFAULT_OPTIONS)
+        assert aborted.all() and not accepted.any() and (evals == 1).all()
+        points = [None] * len(zs)
+        fixed_point._fill(zs, points, np.arange(len(zs)), starts, params,
+                          fixed_point.DEFAULT_OPTIONS)
+        for z, start, pt in zip(zs, starts, points):
+            warm = solve_g(z, params, warm_start=start)
+            assert pt.iterations == warm.iterations + 1
+            np.testing.assert_array_equal(pt.g, warm.g)
+            _assert_certified(pt, params)
+        assert points[1].iterations > fixed_point._TRIAL_EVALS  # the ladder
 
     @pytest.mark.parametrize("name", ["mp", "atom"])
     def test_each_point_counts_its_evaluations(self, monkeypatch, name):
@@ -425,7 +452,7 @@ class TestSolveGrid:
         stacks = _record_stacks(monkeypatch)
         anchors = _record_anchors(monkeypatch)
         solve_grid(zs, params)
-        sizes = [len(z) for z in stacks]
+        sizes = [len(z) for z, _, _ in stacks]
         assert sizes and max(sizes) <= params.p
         assert sum(sizes) + len(anchors) == len(zs)
 
@@ -537,9 +564,9 @@ class TestStackedTrial:
         starts = gs * (1.0 + spread * noise)
         starts[3] = np.conj(gs[3])
         opts = fixed_point.DEFAULT_OPTIONS
-        g, resid, evals, t, accepted = fixed_point._stacked_trial(zs[:, None], starts,
-                                                                  params, opts)
-        assert 0 < accepted.sum() < len(zs)
+        g, resid, evals, t, accepted, aborted = fixed_point._stacked_trial(
+            zs[:, None], starts, params, opts)
+        assert 0 < accepted.sum() < len(zs) and not aborted.any()
         for n, z in enumerate(zs):
             alone, resid_n, evals_n, t_n, _, _ = fixed_point._trial(complex(z), starts[n],
                                                                    params, opts)
@@ -559,8 +586,8 @@ class TestStackedTrial:
         zs = np.array([0.5 + 0.1j, 1.5 + 0.01j, 3.0 - 0.1j])
         other = np.array([[c0 / (z * mp_stieltjes(z, c0)) / c0] for z in zs])
         opts = fixed_point.DEFAULT_OPTIONS
-        _, resid, evals, _, accepted = fixed_point._stacked_trial(zs[:, None], other, params,
-                                                                  opts)
+        _, resid, evals, _, accepted, _ = fixed_point._stacked_trial(zs[:, None], other,
+                                                                     params, opts)
         assert (resid <= opts.tol).all() and (evals == 1).all()
         assert not accepted.any()
         for z, start in zip(zs, other):
@@ -589,13 +616,15 @@ def _record_anchors(monkeypatch):
 
 
 def _record_stacks(monkeypatch):
-    """The z of each stack that solve_grid corrects, filled as it runs."""
+    """The z, guesses and result of each stack that solve_grid corrects,
+    filled as it runs."""
     stacks = []
     inner = fixed_point._stacked_trial
 
     def recording(z, guess, params, opts):
-        stacks.append(z)
-        return inner(z, guess, params, opts)
+        result = inner(z, guess, params, opts)
+        stacks.append((z, np.array(guess), result))
+        return result
 
     monkeypatch.setattr(fixed_point, "_stacked_trial", recording)
     return stacks
