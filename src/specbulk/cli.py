@@ -4,11 +4,13 @@
              [--seed N] [--workers N] [--z RE,IM ...]
 
 Configs are strict JSON documents whose version field is the integer 1;
-unknown keys are rejected. --workers N (N >= 1, else a config error) runs
-the Monte Carlo trials of simulate on min(N, trials) threads, with output
-identical to --workers 1. Exit codes: 0 success, 1 config error,
-2 numerical error, 3 simulation assertion failure. `main` parses with one
-parser, built once per process; `build_parser` returns a fresh one.
+unknown keys are rejected. --workers N (N >= 1, else a config error) is
+accepted for compatibility: simulate draws its Monte Carlo trials in
+blocks on the calling thread, and N changes neither its output nor its
+work. A negative simulate seed is a config error. Exit codes: 0 success,
+1 config error, 2 numerical error, 3 simulation assertion failure.
+`main` parses with one parser, built once per process; `build_parser`
+returns a fresh one.
 """
 from __future__ import annotations
 
@@ -228,6 +230,8 @@ def cmd_simulate(cfg, digest, out_dir, seed=None, workers=1):
     run_seed = seed
     if run_seed is None:
         run_seed = _number(section.get("seed", 0), "simulate.seed", int)
+    if run_seed < 0:
+        raise ConfigError(f"simulate seed must be >= 0, got {run_seed}")
     grid_cfg = section["grid"]
     _require_keys(grid_cfg, {"x_min", "x_max", "n_points"}, "simulate.grid",
                   required={"x_min", "x_max", "n_points"})

@@ -1,21 +1,27 @@
 """Monte Carlo harness: ensemble sampling, empirical resolvents, reports.
 
 Sampling is counter-based: column j of a draw with seed s is generated
-from an independent Philox stream keyed by (s, j), so trials parallelize
-and reorder without changing a single bit of the output. A draw builds
-one generator and rekeys it before each column: a Philox stream is fixed
-by its key and counter alone (Salmon et al., SC 2011). At workers > 1
-the trials of a report run on threads of the calling process; the root
-GEMM and eigvalsh of a trial run in numpy and LAPACK, which release the
-GIL. Reports reduce per-trial scalars in trial order, making them
-reproducible regardless of scheduling. The histogram, outlier and
-norm-bound reports are each a reducer over a list of Gram spectra;
+from an independent Philox stream keyed by (s, j), so the normals do not
+depend on the order in which they are computed. A draw builds one
+generator and rekeys it before each column: a Philox stream is fixed by
+its key and counter alone (Salmon et al., SC 2011). Reports draw their
+trials in blocks of a fixed width, max(1, p // n), through `_draws`: one
+covariance-root GEMM per class and one stacked Gram eigensolve per block,
+as wide products run at full BLAS efficiency where a trial's narrow ones
+cannot (Goto & van de Geijn, ACM TOMS 2008). Trial t always falls in
+block t // width, and the last block is drawn at full width, so a report
+depends on its model, seed and trial count alone, and its trials equal
+bit for bit the leading trials of a longer report. BLAS may round a
+product of other shape differently in the last bits, so a trial drawn
+alone by `sample_w` may differ there from the same trial drawn in a
+block. Reports reduce per-trial scalars in trial order. The histogram,
+outlier and norm-bound reports are each a reducer over the Gram spectra;
 `simulate_reports` draws the trials of any of them once and hands each
-reducer the leading trials it asks for.
+reducer the leading trials it asks for. The `workers` argument of the
+reports is validated and changes neither the result nor the work.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,8 +98,8 @@ def _sqrt_covs(params: ModelParams):
 
     A model with joint spectra takes U diag(sqrt lambda_a) U^T from its
     stored basis, with no eigh; without a basis (diagonal covariances) a
-    root is the 1-D array sqrt(lambda_a), which sample_w applies as a row
-    scaling. Otherwise the root of each diagonal block of
+    root is the 1-D array sqrt(lambda_a), which `_draws` applies as an
+    elementwise scaling. Otherwise the root of each diagonal block of
     `ModelParams.blocks` comes from its eigh, and the block roots expand
     to the p x p root: two eigh of ceil(p/2) on a reflection-symmetric
     model, the one eigh of C_a on any other.
@@ -118,41 +124,76 @@ def _root(w, v):
 
 def trial_seed(base_seed: int, trial: int) -> int:
     """Derived 64-bit seed for one trial of a report."""
+    if base_seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {base_seed}")
     return int(np.random.SeedSequence((base_seed, trial)).generate_state(1, np.uint64)[0])
 
 
-def sample_w(params: ModelParams, seed: int) -> EnsembleSample:
-    """Draw W = p^{-1/2} [C_1^{1/2} Z_1, ..., C_k^{1/2} Z_k].
+def _draws(params: ModelParams, seeds) -> np.ndarray:
+    """The read-only (T, n, p) stack of W^T for the T trial seeds given.
 
-    Column j uses the Philox stream keyed by (seed, j): byte-identical
-    output for a given seed, independent of evaluation order. One Philox
-    serves the draw; before column j its state is set to that of a fresh
-    Philox(key=(seed, j)): counter 0, key (seed mod 2^64, j), an empty
-    buffer (buffer_pos 4) and no cached 32-bit half. Column j of Z is
-    written as row j of an n x p buffer, a contiguous write, and Z is the
-    buffer's transpose. A dense root multiplies each class's columns as one
-    C-ordered copy, the operand layout of a column-by-column draw: BLAS may
-    round a product with a transposed operand differently.
+    Row j of class a of trial t is row j of W^T, C_a^{1/2} z / sqrt(p) for
+    z drawn into a per-class (T, n_a, p) buffer from a fresh Philox keyed by
+    (seed_t mod 2^64, j): counter 0, an empty buffer (buffer_pos 4) and no
+    cached 32-bit half. One Philox serves the stack, rekeyed before each
+    row. Each dense root multiplies its class's rows of all T trials as one
+    (T n_a, p) @ root^T product; a 1-D root scales them elementwise.
     """
     p, n = params.p, params.n
     roots = _sqrt_covs(params)
-    bits = np.random.Philox(key=np.array([int(seed) % (1 << 64), 0], dtype=np.uint64))
-    fresh = bits.state  # copies: counter 0, empty buffer, key (seed, 0)
+    seeds = [int(s) % (1 << 64) for s in seeds]
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    fresh = bits.state  # copies: counter 0, empty buffer, key (0, 0)
     key = fresh["state"]["key"]
     gen = np.random.Generator(bits)
-    buf = np.empty((n, p))
-    for j in range(n):
-        key[1] = j
-        bits.state = fresh
-        gen.standard_normal(out=buf[j])
-    z = buf.T
-    blocks = []
+    wt = np.empty((len(seeds), n, p))
     for root, sl in zip(roots, params.class_slices()):
-        blocks.append(root[:, None] * z[:, sl] if root.ndim == 1
-                      else root @ np.ascontiguousarray(z[:, sl]))
-    w = np.concatenate(blocks, axis=1) / np.sqrt(p)
-    w.setflags(write=False)
-    return EnsembleSample(seed=int(seed), w=w)
+        z = np.empty((len(seeds), sl.stop - sl.start, p))
+        for t, seed in enumerate(seeds):
+            key[0] = seed
+            for j in range(sl.start, sl.stop):
+                key[1] = j
+                bits.state = fresh
+                gen.standard_normal(out=z[t, j - sl.start])
+        rows = z.reshape(-1, p)
+        wt[:, sl] = (rows * root if root.ndim == 1 else rows @ root.T).reshape(z.shape)
+    wt /= np.sqrt(p)
+    wt.setflags(write=False)
+    return wt
+
+
+def _trial_blocks(params: ModelParams, trials: int, seed: int):
+    """The trial seeds and W^T stack of each block of trials 0 .. trials - 1
+    of a report, in order.
+
+    Every block is drawn at its full width max(1, p // n), at most p^2
+    entries per array; the last one draws the seeds of the trials past
+    `trials` too and yields only the leading ones. BLAS rounds a product by
+    its shape, so this keeps each trial's bits independent of `trials`.
+    """
+    width = max(1, params.p // params.n)
+    for start in range(0, trials, width):
+        seeds = [trial_seed(seed, t) for t in range(start, start + width)]
+        yield seeds[:trials - start], _draws(params, seeds)[:trials - start]
+
+
+def _samples(params: ModelParams, trials: int, seed: int):
+    """The EnsembleSample of each trial of a report, in trial order."""
+    for seeds, wt in _trial_blocks(params, trials, seed):
+        for s, w in zip(seeds, wt):
+            yield EnsembleSample(seed=s, w=w.T)
+
+
+def sample_w(params: ModelParams, seed: int) -> EnsembleSample:
+    """Draw W = p^{-1/2} [C_1^{1/2} Z_1, ..., C_k^{1/2} Z_k] for one seed.
+
+    The draw is `_draws` on one seed: column j of Z comes from the Philox
+    stream keyed by (seed, j), so the output is byte-identical for a given
+    seed. W is the transpose of the stack's one W^T. The reports draw their
+    trials in blocks, and BLAS may round a root product of several trials
+    differently in the last bits from this draw alone.
+    """
+    return EnsembleSample(seed=int(seed), w=_draws(params, [seed])[0].T)
 
 
 def zero_eigenvalue_count(sample: EnsembleSample) -> int:
@@ -231,17 +272,14 @@ class SampleSpectral:
 
 
 def _pooled_eigenvalues(params, trials, seed, workers=1):
-    """The Gram spectrum of each trial's draw, on min(workers, trials)
-    threads; the result does not depend on the thread count."""
+    """The (trials, n) ascending Gram spectra of a report's trials, clipped
+    at zero: one stacked eigvalsh of W^T W per block. workers is checked
+    and changes neither the result nor the work."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    seeds = [trial_seed(seed, t) for t in range(trials)]
-    workers = min(workers, trials)
-    if workers == 1:
-        return [sample_w(params, s).eigenvalues_wtw for s in seeds]
-    _sqrt_covs(params)  # built once, before the threads share it
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(lambda s: sample_w(params, s).eigenvalues_wtw, seeds))
+    spectra = [np.linalg.eigvalsh(wt @ wt.transpose(0, 2, 1))
+               for _, wt in _trial_blocks(params, trials, seed)]
+    return np.clip(np.concatenate(spectra), 0.0, None)
 
 
 def _check_trials(trials: int):
@@ -290,8 +328,7 @@ def convergence_report(params: ModelParams, z, trials: int,
     for a in range(k):
         qt_vals[f"Qt_C_{a + 1}"] = []
 
-    for t in range(trials):
-        sample = sample_w(params, trial_seed(seed, t))
+    for sample in _samples(params, trials, seed):
         spec = SampleSpectral(sample, params)
         trace_vals["I"].append(abs(spec.trace_q(z) - n * (params.c @ q_bar)) / n)
         for a in range(k):
@@ -339,7 +376,9 @@ def simulate_reports(params: ModelParams, grid, *, histogram=None, outliers=None
     `outlier_report`. Every request is checked before the draw. Trial t
     draws the same spectrum in each report, so the trials are drawn once,
     for the largest count, and each report reduces its leading slice: the
-    reports equal those of the three functions run apart.
+    reports equal those of the three functions run apart. workers must be
+    >= 1, and changes neither the result nor the work; it is kept for the
+    callers that pass it.
     """
     counts = {}
     if histogram is not None:
@@ -368,7 +407,9 @@ def simulate_reports(params: ModelParams, grid, *, histogram=None, outliers=None
 
 def outlier_report(params: ModelParams, trials: int, grid, seed: int = 0,
                    workers: int = 1) -> McReport:
-    """Max distance of sample eigenvalues to the detected support union {0}."""
+    """Max distance of sample eigenvalues to the detected support union {0}.
+
+    workers is as for `simulate_reports`: checked, and without effect."""
     return simulate_reports(params, grid, outliers=trials, seed=seed,
                             workers=workers)["outliers"]
 
@@ -400,7 +441,8 @@ def histogram_report(params: ModelParams, trials: int, bins, grid: DensityGrid,
 
     bins: uniform ascending edges, or (x_min, x_max, width). The
     deterministic bin masses integrate the grid density (trapezoid between
-    edges) plus the atom for the bin containing zero.
+    edges) plus the atom for the bin containing zero. workers is as for
+    `simulate_reports`: checked, and without effect.
     """
     return simulate_reports(params, grid, histogram=(trials, bins), seed=seed,
                             workers=workers)["histogram"]
@@ -466,8 +508,7 @@ def variance_scaling_report(spec: ModelSpec, z, trials: int, p_list,
     for p_target in p_list:
         params = spec.at_p(p_target)
         vals = np.empty((trials, params.k))
-        for t in range(trials):
-            sample = sample_w(params, trial_seed(seed, t))
+        for t, sample in enumerate(_samples(params, trials, seed)):
             sp = SampleSpectral(sample, params)
             for a in range(params.k):
                 vals[t, a] = sp.trace_qt_cov(z, a).real / params.p
@@ -494,7 +535,8 @@ def norm_bound_report(params: ModelParams, trials: int, seed: int = 0,
     """Empirical max of ||W W^T|| against the slack-factor edge bound.
 
     The assertion max <= 1.5 (1 + sqrt(n/p))^2 C_max only applies at
-    p >= 128; smaller sizes report the value without a pass mark.
+    p >= 128; smaller sizes report the value without a pass mark. workers
+    is as for `simulate_reports`: checked, and without effect.
     """
     return simulate_reports(params, None, norm_bound=trials, seed=seed,
                             workers=workers)["norm_bound"]

@@ -286,7 +286,7 @@ def write_density_csv(grid: DensityGrid, path, header_comment: str | None = None
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "density"])
         for x, d in zip(grid.xs, grid.density):
             writer.writerow([f"{x:.12g}", f"{d:.12g}"])

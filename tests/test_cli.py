@@ -147,6 +147,19 @@ class TestSimulateCommand:
                      "--workers", "2"]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    def test_negative_seed_config_error(self, tmp_path, capsys, flag):
+        payload = self._config(trials=3)
+        if not flag:
+            payload["simulate"]["seed"] = -1
+        cfg = _write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", cfg, "--out", str(out)]
+        assert main(argv + ["--seed=-1"] if flag else argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "-1" in err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("reports", [True, False], ids=["reports", "grid-only"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_config_error(self, tmp_path, capsys, workers, reports):
@@ -161,18 +174,19 @@ class TestSimulateCommand:
         assert not (out / "report.json").exists()
 
     def test_draws_each_trial_once(self, monkeypatch, tmp_path, capsys):
-        # the histogram and outlier reports of mp.json share its 50 trials
-        calls = []
-        inner = mc.sample_w
+        # the histogram and outlier reports of mp.json share its 50 trials,
+        # drawn in blocks of one (n > p)
+        seeds = []
+        inner = mc._draws
 
-        def counted(params, seed):
-            calls.append(seed)
-            return inner(params, seed)
+        def counted(params, block):
+            seeds.extend(block)
+            return inner(params, block)
 
-        monkeypatch.setattr(mc, "sample_w", counted)
+        monkeypatch.setattr(mc, "_draws", counted)
         assert main(["simulate", "--config", str(ROOT / "configs" / "mp.json"),
                      "--out", str(tmp_path)]) == 3
-        assert len(calls) == len(set(calls)) == 50
+        assert seeds == [mc.trial_seed(7, t) for t in range(50)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reports_match_separate_draws(self, tmp_path, workers):

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from helpers import (
 
 from specbulk.equivalents import first_order
 from specbulk.errors import NumericalSingularityError, ValidationError
-from specbulk import montecarlo as mc
 from specbulk.fixed_point import solve_g
 from specbulk.model import (
     CovarianceSpec,
@@ -83,19 +80,20 @@ class TestSampling:
     @pytest.mark.parametrize("name", sorted(form_models()))
     def test_draw_matches_column_reference(self, name):
         # W bit for bit against a draw built column by column: column j of
-        # Z from a fresh Philox keyed by (seed, j), then each class's root
-        # times its columns of Z, for every stored form
+        # Z from a fresh Philox keyed by (seed, j), stored as row j of Z^T,
+        # then each class's rows of Z^T times its root transposed (rows
+        # scaled elementwise by a 1-D root), for every stored form
         params = form_models()[name]
         roots = _sqrt_covs(params)
         for seed in (0, 7, 2**63 + 5):
-            z = np.empty((params.p, params.n))
+            zt = np.empty((params.n, params.p))
             for j in range(params.n):
                 key = np.array([seed, j], dtype=np.uint64)
-                z[:, j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(params.p)
+                zt[j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(params.p)
             ref = np.concatenate(
-                [root[:, None] * z[:, sl] if root.ndim == 1 else root @ z[:, sl]
-                 for root, sl in zip(roots, params.class_slices())], axis=1) / np.sqrt(params.p)
-            assert np.array_equal(sample_w(params, seed).w, ref)
+                [zt[sl] * root if root.ndim == 1 else zt[sl] @ root.T
+                 for root, sl in zip(roots, params.class_slices())]) / np.sqrt(params.p)
+            assert np.array_equal(sample_w(params, seed).w, ref.T)
 
     def test_one_philox_per_draw(self, monkeypatch):
         # one generator serves every column of a draw
@@ -395,39 +393,42 @@ def _diagonal_params_256():
 
 class TestPooledTrials:
     # sizes at which BLAS runs its GEMMs threaded; each workers value gets a
-    # fresh model, so the pooled path also builds the covariance roots itself,
-    # and a short switch interval makes the threads interleave often
+    # fresh model, so each call also builds the covariance roots itself
     @pytest.mark.parametrize("make", [lambda: threeclass_params(256), _diagonal_params_256],
                              ids=["threeclass_blocks", "diagonal"])
     def test_bit_identical_across_workers(self, make):
         serial = _pooled_eigenvalues(make(), 20, 17, 1)
         report = norm_bound_report(make(), 20, seed=17).to_dict()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (2, 3):
-                pooled = _pooled_eigenvalues(make(), 20, 17, workers)
-                assert len(pooled) == len(serial)
-                assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
-                assert norm_bound_report(make(), 20, seed=17,
-                                         workers=workers).to_dict() == report
-        finally:
-            sys.setswitchinterval(interval)
+        for workers in (2, 3):
+            assert np.array_equal(_pooled_eigenvalues(make(), 20, 17, workers), serial)
+            assert norm_bound_report(make(), 20, seed=17,
+                                     workers=workers).to_dict() == report
 
-    def test_pool_sized_by_trials(self, two_class_small, monkeypatch):
-        # four workers for three trials start three threads and report what
-        # one worker reports
-        sizes = []
+    @pytest.mark.parametrize("trials", [1, 3, 5, 10])
+    def test_report_is_prefix_of_longer_report(self, trials):
+        # blocks of p // n = 8 trials, the last drawn at full width: BLAS
+        # rounds the root products of 1-3 trials at p = 64 otherwise
+        params = threeclass_params(64)
+        for seed in (0, 9):
+            longer = _pooled_eigenvalues(params, 13, seed)
+            assert np.array_equal(_pooled_eigenvalues(params, trials, seed),
+                                  longer[:trials])
 
-        class Recording(mc.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+    def test_blocks_match_single_draws(self):
+        # trial t of a block is the draw of trial_seed(seed, t), up to the
+        # rounding of products of another shape
+        params = threeclass_params(64)
+        spectra = _pooled_eigenvalues(params, 10, 4)
+        assert spectra.shape == (10, params.n)
+        for t, eigs in enumerate(spectra):
+            single = sample_w(params, trial_seed(4, t)).eigenvalues_wtw
+            np.testing.assert_allclose(eigs, single, rtol=1e-12, atol=1e-14)
 
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
-        serial = norm_bound_report(two_class_small, 3, seed=5, workers=1).to_dict()
-        assert norm_bound_report(two_class_small, 3, seed=5, workers=4).to_dict() == serial
-        assert sizes == [3]
+    def test_negative_seed_rejected(self, two_class_small):
+        with pytest.raises(ValidationError, match="-1"):
+            trial_seed(-1, 0)
+        with pytest.raises(ValidationError, match="-4"):
+            norm_bound_report(two_class_small, 3, seed=-4)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, two_class_small, workers):

@@ -201,6 +201,23 @@ class TestSupportDetect:
         found = _edges(density_grid(*grid, params))
         np.testing.assert_allclose(found, edges, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("model, x, count", [
+        # three-class p = 256, n = 32 (4, 20, 8): at 0.3, below the support,
+        # every eigenvalue lies above x; in the gap at 2.68 the 4 of the
+        # lowest component lie below it
+        ("threeclass", 0.3, 32), ("threeclass", 2.68, 28),
+        # the orthogonal model, n = 13 (12, 1): its narrow component of one
+        # eigenvalue lies between 0.2 and 0.4
+        ("orthogonal", 0.2, 13), ("orthogonal", 0.4, 12),
+    ])
+    def test_count_value(self, threeclass256, model, x, count):
+        # n (1 - F(x)) at a certified point outside the support; each case
+        # has 1 - t_a/x < 0 for some class, so the class term counts
+        params = threeclass256 if model == "threeclass" else _orthogonal_params(0.3)
+        g, _, _, t, _, _ = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
+        assert g is not None
+        assert _count(x, t, _trace_terms(g, x, params)[1], params) == count
+
     @pytest.mark.parametrize("x, toward, edge", [
         # without the count test, the left traces from 3.65 and 4.1 land on
         # the lowest gap's arc, where rho(Omega) < 1 too, and end at x = 0
@@ -303,6 +320,10 @@ class TestExports:
         assert lines[0] == "# config_sha256=abc"
         assert lines[1] == "x,density"
         assert len(lines) == 2 + grid.xs.size
+        # read_text translates "\r\n": every line, the comment and the
+        # rows alike, ends in "\n" alone
+        raw = csv_path.read_bytes()
+        assert b"\r" not in raw and raw.count(b"\n") == len(lines)
 
         json_path = tmp_path / "support.json"
         write_support_json(grid, json_path)
