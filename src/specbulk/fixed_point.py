@@ -35,15 +35,16 @@ evaluations, and a solve that runs out of it fails.
 A grid sweep, `solve_grid`, solves anchors by solve_g, each from the
 cubic Hermite prediction through the two anchors before it. On a model
 with joint spectra (below) the anchors thin out: the step to the next
-anchor doubles after an anchor solved within two evaluations (its warm
-start and one Newton step) and halves, down to 1, after any other. The
-grid points between two anchors start from the cubic Hermite interpolant
-through them and are corrected together by `_stacked_trial`, which applies
-the rules of `_trial` to every point of a stack at once; a stack holds at
-most p points. A point that its stack rejects takes the rest of a
-warm-started solve_g: the stack's trial stands for its own, and the
-continuation ladder follows. On any other model every grid point is an
-anchor.
+anchor is sized from the measured error of the anchor's own prediction,
+so that the interpolant through two anchors starts every point between
+them within about sqrt(tol) of its solution, one Newton step from tol
+(`_anchor_step`). The grid points between two anchors start from the
+cubic Hermite interpolant through them and are corrected together by
+`_stacked_trial`, which applies the rules of `_trial` to every point of a
+stack at once; a stack holds at most p points. A point that its stack
+rejects takes the rest of a warm-started solve_g: the stack's trial stands
+for its own, and the continuation ladder follows. On any other model every
+grid point is an anchor.
 
 Every evaluation goes through one kernel, `_trace_terms`, which inverts M.
 When the class covariances commute, `validate_model` stores their joint
@@ -102,15 +103,12 @@ _CONTINUATION_START_IM = 1.0
 _LADDER_RATIO = 2.0
 _LADDER_GROWTH = 16.0
 _LADDER_QUICK = 3
-# solve_grid doubles its anchor step after an anchor solved within this many
-# evaluations (its warm start and one Newton step) on a model with joint
-# spectra, and halves it after any other.
-_SWEEP_QUICK = 2
 # The Jacobian J that the corrector of this thread's last solve_g call
-# built. solve_grid solves each anchor by calling the module's solve_g, so
-# that a wrapper on solve_g sees every anchor (perfbench's tracer counts the
-# sweep's evaluations per anchor that way), and takes each anchor's slope
-# from this J.
+# built, and whether that call, at complex z, took the continuation ladder.
+# solve_grid solves each anchor by calling the module's solve_g, so that a
+# wrapper on solve_g sees every anchor (perfbench's tracer counts the
+# sweep's evaluations per anchor that way), takes each anchor's slope from
+# this J, and halves its step after an anchor whose warm start was rejected.
 _last_solve = threading.local()
 
 
@@ -433,7 +431,7 @@ def _trial(z, guess, params, opts, spent=0):
         while f is not None and not resid <= opts.tol and evals < cap:
             jac = _psi_jacobian(t, minv, z, params)
             try:
-                step = np.linalg.solve(_identity(params.k) - jac, f - g)
+                step = _solve_small(_identity(params.k) - jac, f - g)
             except np.linalg.LinAlgError:
                 break
             for frac in (1.0, 0.5):
@@ -514,15 +512,18 @@ def _ladder(z, params, opts, spent=0):
 def _solve_complex(z, params, opts, warm_start=None, spent=0):
     """A trial from the warm start, else (or when it is rejected) the
     continuation ladder; the evaluations of both count, on top of the spent
-    ones. Every trial has checked the signs, so only the |g| bound is left."""
+    ones. Every trial has checked the signs, so only the |g| bound is left.
+    Returns (g, residual, evaluations, traces at g, J, whether the ladder
+    was taken)."""
     g = None
     if warm_start is not None:
         g, resid, evals, t, jac, _ = _trial(z, warm_start, params, opts, spent)
         spent += evals
-    if g is None:
+    laddered = g is None
+    if laddered:
         g, resid, spent, t, jac = _ladder(z, params, opts, spent)
     _check_bound(z, g, params)
-    return g, resid, spent, t, jac
+    return g, resid, spent, t, jac, laddered
 
 
 def _solve_real(x, params, opts, warm_start=None):
@@ -578,11 +579,12 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
             raise ValidationError(
                 f"warm start has shape {warm_start.shape}, expected ({params.k},)"
             )
+    laddered = False
     if z.imag == 0.0:
         g, resid, evals, t, jac = _solve_real(z.real, params, opts, warm_start)
     else:
-        g, resid, evals, t, jac = _solve_complex(z, params, opts, warm_start)
-    _last_solve.jac = jac
+        g, resid, evals, t, jac, laddered = _solve_complex(z, params, opts, warm_start)
+    _last_solve.jac, _last_solve.laddered = jac, laddered
     return _finish(z, g, resid, evals, t, params)
 
 
@@ -603,17 +605,22 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     goes through the continuation ladder.
 
     On a model with joint spectra the next anchor lies `step` grid points
-    ahead: step doubles after an anchor solved within _SWEEP_QUICK
-    evaluations and halves, down to 1, after any other. The points between
-    two anchors then start from the cubic Hermite interpolant through them
-    and their slopes, and are corrected together by `_stacked_trial`, in
-    stacks of at most p points, so that no array of the stack holds more
-    entries than one p x p covariance. A point that its stack rejects
-    takes the continuation ladder within the budget its stack left, so
-    that it spends and fails as solve_g warm-started from its interpolant
-    would; only a point that a stack-wide event cut short (see
-    `_stacked_trial`) first tries its interpolant again on its own. The
-    stack's evaluations count in each point's iterations. On any other
+    ahead. The first three grid points are anchors (step 1 until the first
+    cubic prediction). After that, an anchor whose warm start was rejected
+    halves the step, down to 1; any other anchor sets it by `_anchor_step`
+    from the relative error max|g - g_pred| / max|g| of its own cubic
+    prediction g_pred, with spans counted in grid points, which on a
+    uniform grid are the spacings `_predict` sees; an anchor whose two
+    predecessors share a z has no cubic prediction and keeps the step. The
+    points between two anchors then start from the cubic Hermite
+    interpolant through them and their slopes, and are corrected together
+    by `_stacked_trial`, in stacks of at most p points, so that no array of
+    the stack holds more entries than one p x p covariance. A point that
+    its stack rejects takes the continuation ladder within the budget its
+    stack left, so that it spends and fails as solve_g warm-started from
+    its interpolant would; only a point that a stack-wide event cut short
+    (see `_stacked_trial`) first tries its interpolant again on its own.
+    The stack's evaluations count in each point's iterations. On any other
     model step stays 1: every point is an anchor.
 
     The predictor only moves the starting guess: each point is certified by
@@ -637,7 +644,8 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     a = d_a = b = d_b = None  # the two anchors before i, and their slopes
     while True:
         zv = zs[i]
-        if a is not None and zs[b] != zs[a]:
+        predicted = a is not None and zs[b] != zs[a]
+        if predicted:
             warm = _predict(zv, zs[b], points[b].g, d_b, zs[a], points[a].g, d_a)
         try:
             point = solve_g(zv, params, opts, warm_start=warm)
@@ -650,16 +658,37 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
             rows.append(np.arange(b + 1, i))
             starts.append(_interpolate(np.array(zs[b + 1:i])[:, None], zs[b], points[b].g,
                                        d_b, zv, point.g, slope))
-        a, d_a, b, d_b = b, d_b, i, slope
-        warm = point.g
         if i == last:
             break
-        if params.spectra is not None:
-            step = 2 * step if point.iterations <= _SWEEP_QUICK else max(1, step // 2)
+        if params.spectra is not None and _last_solve.laddered:
+            step = max(1, step // 2)
+        elif params.spectra is not None and predicted:
+            error = abs(point.g - warm).max() / abs(point.g).max()
+            step = _anchor_step(b - a, step, error, opts.tol)
+        a, d_a, b, d_b = b, d_b, i, slope
+        warm = point.g
         i = min(i + step, last)
     if rows:
         _fill(zs, points, np.concatenate(rows), np.concatenate(starts), params, opts)
     return points
+
+
+def _anchor_step(h1, h2, error, tol):
+    """The step, in grid points, from an anchor to the next one, chosen from
+    the relative error of the anchor's own prediction: the cubic Hermite
+    extrapolation over h2 grid points from two anchors h1 apart.
+
+    With s = 1 + h2/h1 the cubic's remainder g^(4) (z - z0)^2 (z - z1)^2 / 24
+    gives error ~ g^(4) h1^4 s^2 (s - 1)^2 / 24. The interpolant over the
+    next step h3 errs by g^(4) h3^4 / 384 at its midpoint, which stays within
+    sqrt(tol), so that one Newton step takes a fill point to tol, when
+    h3 = h1 (16 s^2 (s - 1)^2 sqrt(tol) / error)^(1/4) (Hairer, Norsett &
+    Wanner, Solving Ordinary Differential Equations I, 1993, II.4). The
+    step is h3 rounded down, at most 2 h2 and at least 1.
+    """
+    s = 1.0 + h2 / h1
+    h3 = h1 * (16.0 * (s * (s - 1.0)) ** 2 * np.sqrt(tol) / error) ** 0.25 if error else np.inf
+    return max(1, int(min(2.0 * h2, h3)))
 
 
 def _annotate(exc, i, z):
@@ -698,7 +727,8 @@ def _fill(zs, points, rows, starts, params, opts):
                     continue
                 _check_budget(zv, resid[n], spent, opts)
                 warm = starts[lo + n] if aborted[n] else None
-                g_i, resid_i, spent, t_i, _ = _solve_complex(zv, params, opts, warm, spent)
+                g_i, resid_i, spent, t_i, _, _ = _solve_complex(zv, params, opts, warm,
+                                                                spent)
             except SpecbulkError as exc:
                 _annotate(exc, i, zv)
                 raise
@@ -735,7 +765,7 @@ def _stacked_trial(z, guess, params, opts):
             at = np.flatnonzero(live)
             jac = _psi_jacobian(t[at], minv[at], z[at], params)
             try:
-                step = np.linalg.solve(_identity(params.k) - jac, (f - g)[at, :, None])[..., 0]
+                step = _solve_small(_identity(params.k) - jac, (f - g)[at])
             except np.linalg.LinAlgError:
                 aborted[at] = True
                 break
@@ -778,12 +808,40 @@ def g_derivative(point: ResolventPoint, params: ModelParams) -> np.ndarray:
 def _g_prime(omega, g, z, params: ModelParams) -> np.ndarray:
     """Solve (I - Omega) g' = c0 g^2 for the kernel Omega at a fixed point."""
     try:
-        return np.linalg.solve(_identity(params.k) - omega, params.c0 * g**2)
+        return _solve_small(_identity(params.k) - omega, params.c0 * g**2)
     except np.linalg.LinAlgError as exc:
         raise NumericalSingularityError(
             f"I - Omega(z,z) singular at z={z}: too close to the support",
             z=z,
         ) from exc
+
+
+def _solve_small(a, b):
+    """x with a x = b for a stack a (..., k, k) and b (..., k), as
+    np.linalg.solve gives it, with k = 1 solved by division and k = 2 by
+    Cramer's rule: at k <= 2 np.linalg.solve's wrapper costs more than the
+    solver's own Newton and slope systems. A zero determinant raises
+    np.linalg.LinAlgError, as np.linalg.solve does; k > 2 goes to
+    np.linalg.solve."""
+    k = a.shape[-1]
+    if k == 1:
+        if not a.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return b / a[..., 0]
+    if k > 2:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    if a.ndim == 2:  # one system: Python scalars cost less than 0-d arrays
+        (a00, a01), (a10, a11) = a.tolist()
+        (b0, b1), det = b.tolist(), a00 * a11 - a01 * a10
+        if not det:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.array([(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det])
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    det = a00 * a11 - a01 * a10
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    b0, b1 = b[..., 0], b[..., 1]
+    return np.stack([(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det], -1)
 
 
 @functools.cache

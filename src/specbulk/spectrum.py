@@ -27,6 +27,7 @@ from .fixed_point import (
     _identity,
     _psi_eval,
     _psi_jacobian,
+    _solve_small,
     _trace_terms,
     _trial,
     solve_g,
@@ -178,8 +179,8 @@ def _arc_point(u, tangent, w, s, params, opts):
             if resid <= opts.tol:
                 certified = np.isfinite(jac).all() and spectral_radius(jac) < 1.0
                 return v, dh, _count(v[k], t, minv, params) if certified else None, evals
-            v = v - np.linalg.solve(np.concatenate([dh, normal[None]]),
-                                    np.append(v[:k] - f, normal @ (v - u) - s))
+            v = v - _solve_small(np.concatenate([dh, normal[None]]),
+                                 np.append(v[:k] - f, normal @ (v - u) - s))
         except (NumericalSingularityError, np.linalg.LinAlgError):
             break
     return None, None, None, evals

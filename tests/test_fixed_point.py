@@ -378,42 +378,43 @@ class TestSolveGrid:
         assert info.value.iterations is not None
 
     def test_starved_fill_point_keeps_its_error(self, monkeypatch):
-        # the anchors 1e9 i (1 + 0.01 j) take 2 evaluations each, so the
-        # step doubles and index 4 is a fill point; its start, interpolated
-        # between anchors near 1e9 i, is far from g at 0.5 + 1e-8i, and its
-        # stack spends the whole budget there
+        # indices 0, 1 and 2 are anchors; the prediction at 2 of g near
+        # 1e9 i (1 + 0.01 j) is nearly exact, so the step doubles and index 3
+        # is a fill point; its start, interpolated between anchors near 1e9 i,
+        # is far from g at 0.5 + 1e-8i, and its stack spends the whole budget
+        # there
         params = mp_params(1, 1, p=4)
         zs = [1e9j * (1 + 0.01 * j) for j in range(7)]
-        zs[4] = 0.5 + 1e-8j
+        zs[3] = 0.5 + 1e-8j
         anchors = _record_anchors(monkeypatch)
-        with pytest.raises(NonConvergenceError, match="grid index 4 ") as info:
+        with pytest.raises(NonConvergenceError, match="grid index 3 ") as info:
             solve_grid(zs, params, SolverOptions(max_iter=3))
-        assert 4 not in [zs.index(z) for z in anchors]
-        assert info.value.z == zs[4]
+        assert 3 not in [zs.index(z) for z in anchors]
+        assert info.value.z == zs[3]
         assert np.isfinite(info.value.residual)
         assert info.value.iterations == 3
 
     def test_rejected_fill_point_takes_the_ladder(self, monkeypatch):
-        # the same grid with the default budget: the stack rejects index 4
+        # the same grid with the default budget: the stack rejects index 3
         # on its own merits, and the point then spends and ends as solve_g
         # warm-started from its interpolant, every evaluation counted
         params = mp_params(1, 1, p=4)
         zs = [1e9j * (1 + 0.01 * j) for j in range(7)]
-        zs[4] = 0.5 + 1e-3j
+        zs[3] = 0.5 + 1e-3j
         evals = _record_evaluations(monkeypatch)
         stacks = _record_stacks(monkeypatch)
         pts = solve_grid(zs, params)
         assert sum(evals.values()) == sum(pt.iterations for pt in pts)
         (z, guess, (_, _, _, _, accepted, aborted)), = stacks
-        n = list(z[:, 0]).index(zs[4])
+        n = list(z[:, 0]).index(zs[3])
         assert not accepted[n] and not aborted.any()
         monkeypatch.undo()
-        warm = solve_g(zs[4], params, warm_start=guess[n])
-        assert pts[4].iterations == warm.iterations > fixed_point._TRIAL_EVALS
-        np.testing.assert_array_equal(pts[4].g, warm.g)
-        cold = solve_g(zs[4], params)
-        assert np.abs(pts[4].g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
-        _assert_certified(pts[4], params)
+        warm = solve_g(zs[3], params, warm_start=guess[n])
+        assert pts[3].iterations == warm.iterations > fixed_point._TRIAL_EVALS
+        np.testing.assert_array_equal(pts[3].g, warm.g)
+        cold = solve_g(zs[3], params)
+        assert np.abs(pts[3].g - cold.g).max() <= 1e-10 * np.abs(cold.g).max()
+        _assert_certified(pts[3], params)
 
     def test_aborted_stack_retries_each_start(self):
         # a guess at which M = (1 + c g) I is singular aborts the whole
@@ -455,6 +456,63 @@ class TestSolveGrid:
         sizes = [len(z) for z, _, _ in stacks]
         assert sizes and max(sizes) <= params.p
         assert sum(sizes) + len(anchors) == len(zs)
+
+    @pytest.mark.parametrize("name", ["mp", "atom"])
+    def test_fill_points_accepted_by_their_stacks(self, monkeypatch, name):
+        # the anchor steps keep every interpolated start within reach of the
+        # stack's Newton steps: no fill point is rejected, and only the first
+        # point, which has no warm start, takes the ladder
+        params, zs = _shipped_grid(name)
+        stacks = _record_stacks(monkeypatch)
+        ladders = []
+        ladder = fixed_point._ladder
+
+        def recording(z, *args):
+            ladders.append(z)
+            return ladder(z, *args)
+
+        monkeypatch.setattr(fixed_point, "_ladder", recording)
+        solve_grid(zs, params)
+        assert stacks and all(accepted.all() for _, _, (*_, accepted, _) in stacks)
+        assert ladders == [zs[0]]
+
+    def test_anchor_step_follows_prediction_error(self, monkeypatch):
+        # every anchor's prediction is its solution times 1 + eps, with eps
+        # rising from 1e-14 to 1e-3 over the first half of the grid and 1e-3
+        # after it: each step is the span
+        # h3 = h1 (16 s^2 (s - 1)^2 sqrt(tol) / E)^(1/4) from the measured
+        # error E, rounded down, doubling at most and at least 1; the steps
+        # double, shrink, and end at 1
+        params, zs = _shipped_grid("mp")
+        exact = [pt.g for pt in solve_grid(zs, params)]
+        eps = np.minimum(np.logspace(-14, 8, len(zs)), 1e-3)
+        index = {z: i for i, z in enumerate(zs)}
+        predict = fixed_point._predict
+
+        def off_by_eps(z, *args):
+            i = index.get(z)  # None at the levels of the first point's ladder
+            return predict(z, *args) if i is None else exact[i] * (1.0 + eps[i])
+
+        monkeypatch.setattr(fixed_point, "_predict", off_by_eps)
+        anchors = _record_anchors(monkeypatch)
+        pts = solve_grid(zs, params)
+        at = [index[z] for z in anchors]
+        assert at[:3] == [0, 1, 2] and at[-1] == len(zs) - 1
+        sqrt_tol = np.sqrt(fixed_point.DEFAULT_OPTIONS.tol)
+        doubled = shrunk = floored = False
+        for a, b, i, nxt in zip(at, at[1:], at[2:], at[3:]):
+            guess = exact[i] * (1.0 + eps[i])
+            error = np.abs(pts[i].g - guess).max() / np.abs(pts[i].g).max()
+            h1, h2 = b - a, i - b
+            s = 1.0 + h2 / h1
+            bound = 16.0 * s**2 * (s - 1.0) ** 2 * sqrt_tol
+            h3 = h1 * (bound / error) ** 0.25 if error else np.inf
+            step = max(1, int(min(2 * h2, h3)))
+            assert nxt == min(i + step, len(zs) - 1)
+            doubled |= step == 2 * h2
+            shrunk |= step < h2
+            floored |= h3 < 1.0
+        assert doubled and shrunk and floored
 
     @pytest.mark.parametrize("name", ["mp", "atom", "basis_k1", "identity_p_below_n",
                                       "diagonal_singular"])
@@ -546,6 +604,42 @@ class TestSolveGrid:
         d3 = solve_g(5.0 + 1e-3j, threeclass256).m_mu.imag / np.pi
         d4 = solve_g(5.0 + 1e-4j, threeclass256).m_mu.imag / np.pi
         assert abs(d3 - d4) / d4 <= 5e-3
+
+
+class TestSolveSmall:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("stack", [(), (40,)], ids=["one", "stack"])
+    @pytest.mark.parametrize("near_singular", [False, True], ids=["random", "near_singular"])
+    def test_matches_linalg_solve(self, k, stack, near_singular):
+        # division, Cramer's rule and np.linalg.solve agree to a few units
+        # of the condition number times the rounding unit, on well and badly
+        # conditioned systems alike
+        rng = np.random.default_rng(k)
+        shape = stack + (k, k)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if near_singular:  # the last row 2.5 times the first, up to 1e-9; 1e-9 a at k = 1
+            a[..., -1, :] = 2.5 * (k > 1) * a[..., 0, :] + 1e-9 * a[..., -1, :]
+        b = rng.standard_normal(stack + (k,)) + 1j * rng.standard_normal(stack + (k,))
+        x = fixed_point._solve_small(a, b)
+        ref = np.linalg.solve(a, b[..., None])[..., 0]
+        assert x.shape == ref.shape
+        err = np.abs(x - ref).max(-1) / np.abs(ref).max(-1)
+        assert (err <= 1e-14 * np.linalg.cond(a)).all()
+
+    @pytest.mark.parametrize("a", [
+        [[0.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [1.0, 3.0]],
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],
+    ], ids=["1x1", "2x2-rank-one", "2x2-zero-row", "3x3"])
+    def test_singular_raises(self, a):
+        # as np.linalg.solve does, alone and as one system of a stack
+        a = np.array(a)
+        b = np.ones(len(a))
+        stack = np.stack([np.eye(len(a)), a])
+        for args in ((a, b), (stack, np.stack([b, b]))):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(args[0], args[1][..., None])
+            with pytest.raises(np.linalg.LinAlgError):
+                fixed_point._solve_small(*args)
 
 
 class TestStackedTrial:

@@ -5,7 +5,8 @@ writes with the files under tests/golden/<config>-<command>/: the exit
 code, every key, string, integer and bool exactly, JSON floats to 1e-12
 relative, and the density column of density.csv to 1e-12 of the file's
 peak. The CSV prints 12 significant digits, so its values may also differ
-by one unit in the last digit printed.
+by one unit in the last digit printed; its columns are compared as the
+printed decimals, exactly, so that one unit passes and two fail.
 
 A change that moves these numbers on purpose rewrites the files with
 `PYTHONPATH=src python tests/test_golden.py`, which prints each file whose
@@ -15,8 +16,8 @@ closed form here to 1e-11 of the peak.
 """
 import csv
 import json
-import math
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,9 @@ def _run(config, command, out):
 
 
 def _print_unit(value):
-    """One unit in the 12th significant digit of value, as "%.12g" prints it."""
-    return 10.0 ** (math.floor(math.log10(abs(value))) - 11) if value else 0.0
+    """One unit in the 12th significant digit of the Decimal value, as
+    "%.12g" prints it."""
+    return Decimal(1).scaleb(value.adjusted() - 11) if value else Decimal(0)
 
 
 def _compare_json(new, old, where, errors, rtol=RTOL):
@@ -80,12 +82,13 @@ def _compare_csv(new, old, errors):
         errors.append(f"header or length: {new_rows[:2]}, {len(new_rows)} rows != "
                       f"{old_rows[:2]}, {len(old_rows)} rows")
         return
-    peak = max(float(row[1]) for row in old_rows[2:])
+    rtol = Decimal(str(RTOL))
+    peak = max(Decimal(row[1]) for row in old_rows[2:])
     for i, (a, b) in enumerate(zip(new_rows[2:], old_rows[2:])):
-        (x_new, d_new), (x_old, d_old) = map(float, a), map(float, b)
-        if not abs(x_new - x_old) <= max(RTOL * abs(x_old), _print_unit(x_old)):
+        (x_new, d_new), (x_old, d_old) = map(Decimal, a), map(Decimal, b)
+        if not abs(x_new - x_old) <= max(rtol * abs(x_old), _print_unit(x_old)):
             errors.append(f"row {i}: x {a[0]} != {b[0]}")
-        if not abs(d_new - d_old) <= max(RTOL * peak, _print_unit(d_old)):
+        if not abs(d_new - d_old) <= max(rtol * peak, _print_unit(d_old)):
             errors.append(f"row {i}: density {a[1]} != {b[1]}")
 
 
@@ -105,6 +108,20 @@ def test_golden_output(tmp_path, capsys, config, command, code):
         else:
             _compare_json(json.loads(new), json.loads(old), name, errors)
     assert not errors, "\n".join(errors[:20])
+
+
+@pytest.mark.parametrize("old, new, passes", [
+    # one unit in the 12th digit passes in either column, though each
+    # pair's difference in floats exceeds the unit in floats; two fail
+    ("1.23456789012,0.224083504565", "1.23456789013,0.224083504565", True),
+    ("1.23456789012,0.224083504565", "1.23456789014,0.224083504565", False),
+    ("1.23456789012,0.224083504565", "1.23456789012,0.224083504564", True),
+    ("1.23456789012,0.224083504565", "1.23456789012,0.224083504563", False),
+])
+def test_csv_compares_printed_digits(old, new, passes):
+    errors = []
+    _compare_csv(["# header", "x,density", new], ["# header", "x,density", old], errors)
+    assert (not errors) == passes, errors
 
 
 @pytest.mark.parametrize("config, c0", [("mp", 1.0), ("atom", 0.5)])

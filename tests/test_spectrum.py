@@ -209,11 +209,17 @@ class TestSupportDetect:
         # the orthogonal model, n = 13 (12, 1): its narrow component of one
         # eigenvalue lies between 0.2 and 0.4
         ("orthogonal", 0.2, 13), ("orthogonal", 0.4, 12),
+        # configs/atom.json's model, p = 16, n = 32: below its support, the
+        # 16 eigenvalues above x are all counted by the negative eigenvalues
+        # nu(M) of M, and the class term is 0
+        ("atom", 0.1, 16),
     ])
     def test_count_value(self, threeclass256, model, x, count):
-        # n (1 - F(x)) at a certified point outside the support; each case
-        # has 1 - t_a/x < 0 for some class, so the class term counts
-        params = threeclass256 if model == "threeclass" else _orthogonal_params(0.3)
+        # n (1 - F(x)) at a certified point outside the support; the first
+        # four cases have 1 - t_a/x < 0 for some class, so the class term
+        # counts, and the last is counted by nu(M) alone
+        params = (threeclass256 if model == "threeclass"
+                  else mp_params(1, 2, p=16) if model == "atom" else _orthogonal_params(0.3))
         g, _, _, t, _, _ = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
         assert g is not None
         assert _count(x, t, _trace_terms(g, x, params)[1], params) == count
