@@ -610,19 +610,22 @@ class TestSolveSmall:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("stack", [(), (40,)], ids=["one", "stack"])
     @pytest.mark.parametrize("near_singular", [False, True], ids=["random", "near_singular"])
-    def test_matches_linalg_solve(self, k, stack, near_singular):
+    @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+    def test_matches_linalg_solve(self, k, stack, near_singular, imag):
         # division, Cramer's rule and np.linalg.solve agree to a few units
         # of the condition number times the rounding unit, on well and badly
-        # conditioned systems alike
+        # conditioned systems alike, real or complex
         rng = np.random.default_rng(k)
         shape = stack + (k, k)
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = rng.standard_normal(shape) + 1j * imag * rng.standard_normal(shape)
         if near_singular:  # the last row 2.5 times the first, up to 1e-9; 1e-9 a at k = 1
             a[..., -1, :] = 2.5 * (k > 1) * a[..., 0, :] + 1e-9 * a[..., -1, :]
-        b = rng.standard_normal(stack + (k,)) + 1j * rng.standard_normal(stack + (k,))
+        b = rng.standard_normal(stack + (k,)) + 1j * imag * rng.standard_normal(stack + (k,))
+        if not imag:
+            a, b = a.real.copy(), b.real.copy()
         x = fixed_point._solve_small(a, b)
         ref = np.linalg.solve(a, b[..., None])[..., 0]
-        assert x.shape == ref.shape
+        assert x.shape == ref.shape and x.dtype == ref.dtype
         err = np.abs(x - ref).max(-1) / np.abs(ref).max(-1)
         assert (err <= 1e-14 * np.linalg.cond(a)).all()
 
