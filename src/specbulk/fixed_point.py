@@ -35,9 +35,10 @@ evaluations, and a solve that runs out of it fails.
 A grid sweep, `solve_grid`, solves anchors by solve_g, each from the
 cubic Hermite prediction through the two anchors before it. On a model
 with joint spectra (below) the anchors thin out: the step to the next
-anchor is sized from the measured error of the anchor's own prediction,
-so that the interpolant through two anchors starts every point between
-them within about sqrt(tol) of its solution, one Newton step from tol
+anchor is sized from the measured error of the anchor's own cubic
+prediction (and halved after an anchor that had none), so that the
+interpolant through two anchors starts every point between them within
+about sqrt(tol) of its solution, one Newton step from tol
 (`_anchor_step`). The grid points between two anchors start from the
 cubic Hermite interpolant through them and are corrected together by
 `_stacked_trial`, which applies the rules of `_trial` to every point of a
@@ -104,11 +105,10 @@ _LADDER_RATIO = 2.0
 _LADDER_GROWTH = 16.0
 _LADDER_QUICK = 3
 # The Jacobian J that the corrector of this thread's last solve_g call
-# built, and whether that call, at complex z, took the continuation ladder.
-# solve_grid solves each anchor by calling the module's solve_g, so that a
-# wrapper on solve_g sees every anchor (perfbench's tracer counts the
-# sweep's evaluations per anchor that way), takes each anchor's slope from
-# this J, and halves its step after an anchor whose warm start was rejected.
+# built. solve_grid solves each anchor by calling the module's solve_g, so
+# that a wrapper on solve_g sees every anchor (perfbench's tracer counts the
+# sweep's evaluations per anchor that way), and takes each anchor's slope
+# from this J.
 _last_solve = threading.local()
 
 
@@ -356,7 +356,8 @@ def _predict(z, z1, g1, d1, z0, g0, d0):
     (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 6). It is
     trusted when it and the secant both lie in the admissible half-plane
     and its correction to the secant is no larger than the secant's step
-    from g1; otherwise the start is g1. Next to a hard edge or an atom at
+    from g1; otherwise the start is the array g1 itself (solve_grid tells
+    the two apart by identity). Next to a hard edge or an atom at
     zero, where g ~ z^{-1/2}, the cubic can land in the admissible
     half-plane but far off, and the secant outside it.
     """
@@ -512,18 +513,15 @@ def _ladder(z, params, opts, spent=0):
 def _solve_complex(z, params, opts, warm_start=None, spent=0):
     """A trial from the warm start, else (or when it is rejected) the
     continuation ladder; the evaluations of both count, on top of the spent
-    ones. Every trial has checked the signs, so only the |g| bound is left.
-    Returns (g, residual, evaluations, traces at g, J, whether the ladder
-    was taken)."""
+    ones. Every trial has checked the signs, so only the |g| bound is left."""
     g = None
     if warm_start is not None:
         g, resid, evals, t, jac, _ = _trial(z, warm_start, params, opts, spent)
         spent += evals
-    laddered = g is None
-    if laddered:
+    if g is None:
         g, resid, spent, t, jac = _ladder(z, params, opts, spent)
     _check_bound(z, g, params)
-    return g, resid, spent, t, jac, laddered
+    return g, resid, spent, t, jac
 
 
 def _solve_real(x, params, opts, warm_start=None):
@@ -579,12 +577,11 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
             raise ValidationError(
                 f"warm start has shape {warm_start.shape}, expected ({params.k},)"
             )
-    laddered = False
     if z.imag == 0.0:
         g, resid, evals, t, jac = _solve_real(z.real, params, opts, warm_start)
     else:
-        g, resid, evals, t, jac, laddered = _solve_complex(z, params, opts, warm_start)
-    _last_solve.jac, _last_solve.laddered = jac, laddered
+        g, resid, evals, t, jac = _solve_complex(z, params, opts, warm_start)
+    _last_solve.jac = jac
     return _finish(z, g, resid, evals, t, params)
 
 
@@ -605,23 +602,27 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     goes through the continuation ladder.
 
     On a model with joint spectra the next anchor lies `step` grid points
-    ahead. The first three grid points are anchors (step 1 until the first
-    cubic prediction). After that, an anchor whose warm start was rejected
-    halves the step, down to 1; any other anchor sets it by `_anchor_step`
-    from the relative error max|g - g_pred| / max|g| of its own cubic
-    prediction g_pred, with spans counted in grid points, which on a
-    uniform grid are the spacings `_predict` sees; an anchor whose two
-    predecessors share a z has no cubic prediction and keeps the step. The
-    points between two anchors then start from the cubic Hermite
-    interpolant through them and their slopes, and are corrected together
-    by `_stacked_trial`, in stacks of at most p points, so that no array of
-    the stack holds more entries than one p x p covariance. A point that
-    its stack rejects takes the continuation ladder within the budget its
-    stack left, so that it spends and fails as solve_g warm-started from
-    its interpolant would; only a point that a stack-wide event cut short
-    (see `_stacked_trial`) first tries its interpolant again on its own.
-    The stack's evaluations count in each point's iterations. On any other
-    model step stays 1: every point is an anchor.
+    ahead. The step is 1 until the first cubic prediction, so the first
+    three grid points are anchors. An anchor that started from a cubic
+    prediction g_pred then sets it by `_anchor_step` from the relative
+    error max|g - g_pred| / max|g| of that prediction, with spans counted
+    in grid points, which on a uniform grid are the spacings `_predict`
+    sees. Any other anchor halves the step, down to 1: one whose two
+    predecessors share a z, and one whose cubic the predictor did not trust
+    and replaced by the previous solution, as that start's error is of
+    first order, not the cubic's remainder that `_anchor_step` reads. A
+    rejected warm start needs no rule of its own: its error is large, and
+    the formula shrinks the step. The points between two anchors then start
+    from the cubic Hermite interpolant through them and their slopes, and
+    are corrected together by `_stacked_trial`, in stacks of at most p
+    points, so that no array of the stack holds more entries than one p x p
+    covariance. A point that its stack rejects takes the continuation
+    ladder within the budget its stack left, so that it spends and fails as
+    solve_g warm-started from its interpolant would; only a point that a
+    stack-wide event cut short (see `_stacked_trial`) first tries its
+    interpolant again on its own. The stack's evaluations count in each
+    point's iterations. On any other model step stays 1: every point is an
+    anchor.
 
     The predictor only moves the starting guess: each point is certified by
     its own residual, half-plane signs and |g| bound. A failure raises the
@@ -644,8 +645,7 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     a = d_a = b = d_b = None  # the two anchors before i, and their slopes
     while True:
         zv = zs[i]
-        predicted = a is not None and zs[b] != zs[a]
-        if predicted:
+        if a is not None and zs[b] != zs[a]:
             warm = _predict(zv, zs[b], points[b].g, d_b, zs[a], points[a].g, d_a)
         try:
             point = solve_g(zv, params, opts, warm_start=warm)
@@ -660,11 +660,12 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
                                        d_b, zv, point.g, slope))
         if i == last:
             break
-        if params.spectra is not None and _last_solve.laddered:
-            step = max(1, step // 2)
-        elif params.spectra is not None and predicted:
-            error = abs(point.g - warm).max() / abs(point.g).max()
-            step = _anchor_step(b - a, step, error, opts.tol)
+        if params.spectra is not None and b is not None:
+            if warm is points[b].g:  # no cubic start: _predict returns g1 itself
+                step = max(1, step // 2)
+            else:
+                error = abs(point.g - warm).max() / abs(point.g).max()
+                step = _anchor_step(b - a, step, error, opts.tol)
         a, d_a, b, d_b = b, d_b, i, slope
         warm = point.g
         i = min(i + step, last)
@@ -727,8 +728,7 @@ def _fill(zs, points, rows, starts, params, opts):
                     continue
                 _check_budget(zv, resid[n], spent, opts)
                 warm = starts[lo + n] if aborted[n] else None
-                g_i, resid_i, spent, t_i, _, _ = _solve_complex(zv, params, opts, warm,
-                                                                spent)
+                g_i, resid_i, spent, t_i, _ = _solve_complex(zv, params, opts, warm, spent)
             except SpecbulkError as exc:
                 _annotate(exc, i, zv)
                 raise
@@ -818,30 +818,23 @@ def _g_prime(omega, g, z, params: ModelParams) -> np.ndarray:
 
 def _solve_small(a, b):
     """x with a x = b for a stack a (..., k, k) and b (..., k), as
-    np.linalg.solve gives it, with k = 1 solved by division and k = 2 by
-    Cramer's rule: at k <= 2 np.linalg.solve's wrapper costs more than the
-    solver's own Newton and slope systems. A zero determinant raises
-    np.linalg.LinAlgError, as np.linalg.solve does; k > 2 goes to
-    np.linalg.solve."""
+    np.linalg.solve gives it, with k = 1 solved by division and one 2 x 2
+    system by Cramer's rule: there np.linalg.solve's wrapper costs more
+    than the solver's own Newton and slope systems. A zero determinant
+    raises np.linalg.LinAlgError, as np.linalg.solve does; larger systems
+    and stacks of 2 x 2 ones go to np.linalg.solve."""
     k = a.shape[-1]
     if k == 1:
         if not a.all():
             raise np.linalg.LinAlgError("Singular matrix")
         return b / a[..., 0]
-    if k > 2:
+    if k > 2 or a.ndim > 2:
         return np.linalg.solve(a, b[..., None])[..., 0]
-    if a.ndim == 2:  # one system: Python scalars cost less than 0-d arrays
-        (a00, a01), (a10, a11) = a.tolist()
-        (b0, b1), det = b.tolist(), a00 * a11 - a01 * a10
-        if not det:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return np.array([(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det])
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    det = a00 * a11 - a01 * a10
-    if not det.all():
+    (a00, a01), (a10, a11) = a.tolist()  # Python scalars cost less than 0-d arrays
+    (b0, b1), det = b.tolist(), a00 * a11 - a01 * a10
+    if not det:
         raise np.linalg.LinAlgError("Singular matrix")
-    b0, b1 = b[..., 0], b[..., 1]
-    return np.stack([(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det], -1)
+    return np.array([(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det])
 
 
 @functools.cache

@@ -482,16 +482,20 @@ class TestSolveGrid:
         # after it: each step is the span
         # h3 = h1 (16 s^2 (s - 1)^2 sqrt(tol) / E)^(1/4) from the measured
         # error E, rounded down, doubling at most and at least 1; the steps
-        # double, shrink, and end at 1
+        # double, shrink, and end at 1. At every grid index 4 mod 5 the
+        # predictor instead returns g1, as it does when it does not trust
+        # its cubic, and the step after that anchor halves
         params, zs = _shipped_grid("mp")
         exact = [pt.g for pt in solve_grid(zs, params)]
         eps = np.minimum(np.logspace(-14, 8, len(zs)), 1e-3)
         index = {z: i for i, z in enumerate(zs)}
         predict = fixed_point._predict
 
-        def off_by_eps(z, *args):
+        def off_by_eps(z, z1, g1, *args):
             i = index.get(z)  # None at the levels of the first point's ladder
-            return predict(z, *args) if i is None else exact[i] * (1.0 + eps[i])
+            if i is None:
+                return predict(z, z1, g1, *args)
+            return g1 if i % 5 == 4 else exact[i] * (1.0 + eps[i])
 
         monkeypatch.setattr(fixed_point, "_predict", off_by_eps)
         anchors = _record_anchors(monkeypatch)
@@ -499,20 +503,24 @@ class TestSolveGrid:
         at = [index[z] for z in anchors]
         assert at[:3] == [0, 1, 2] and at[-1] == len(zs) - 1
         sqrt_tol = np.sqrt(fixed_point.DEFAULT_OPTIONS.tol)
-        doubled = shrunk = floored = False
+        doubled = shrunk = floored = halved = False
         for a, b, i, nxt in zip(at, at[1:], at[2:], at[3:]):
-            guess = exact[i] * (1.0 + eps[i])
-            error = np.abs(pts[i].g - guess).max() / np.abs(pts[i].g).max()
             h1, h2 = b - a, i - b
-            s = 1.0 + h2 / h1
-            bound = 16.0 * s**2 * (s - 1.0) ** 2 * sqrt_tol
-            h3 = h1 * (bound / error) ** 0.25 if error else np.inf
-            step = max(1, int(min(2 * h2, h3)))
+            if i % 5 == 4:
+                step = max(1, h2 // 2)
+                halved |= h2 > 1
+            else:
+                guess = exact[i] * (1.0 + eps[i])
+                error = np.abs(pts[i].g - guess).max() / np.abs(pts[i].g).max()
+                s = 1.0 + h2 / h1
+                bound = 16.0 * s**2 * (s - 1.0) ** 2 * sqrt_tol
+                h3 = h1 * (bound / error) ** 0.25 if error else np.inf
+                step = max(1, int(min(2 * h2, h3)))
+                doubled |= step == 2 * h2
+                shrunk |= step < h2
+                floored |= h3 < 1.0
             assert nxt == min(i + step, len(zs) - 1)
-            doubled |= step == 2 * h2
-            shrunk |= step < h2
-            floored |= h3 < 1.0
-        assert doubled and shrunk and floored
+        assert doubled and shrunk and floored and halved
 
     @pytest.mark.parametrize("name", ["mp", "atom", "basis_k1", "identity_p_below_n",
                                       "diagonal_singular"])
