@@ -21,8 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import equivalents as eqmod
 from . import montecarlo as mc
 from . import spectrum
@@ -352,9 +350,7 @@ def cmd_equivalents(cfg, digest, out_dir, z_values):
         "rho_omega": so.spectral_radius_omega,
         "rho_omega_bound": eqmod.omega_radius_bound(z1, z2, params),
         "trace_q_bar_over_n": _json_complex(eqmod.q_bar_trace(eq1, params)),
-        "trace_qt_bar_over_p": _json_complex(
-            complex(np.trace(eq1.q_tilde_bar)) / params.p
-        ),
+        "trace_qt_bar_over_p": _json_complex(eqmod.qt_bar_trace(eq1, params)),
     }
     if sigma2_list:
         functionals = []

@@ -46,7 +46,7 @@ from .fixed_point import (
     _q_tilde,
     solve_g,
 )
-from .model import ModelParams
+from .model import ModelParams, _trace
 from .nonneg import spectral_radius
 
 
@@ -115,6 +115,11 @@ def first_order(point: ResolventPoint, params: ModelParams) -> EquivalentSet:
 def q_bar_trace(eq: EquivalentSet, params: ModelParams) -> complex:
     """(1/n) tr Qbar = sum_a c_a (c0 g_a)."""
     return complex(params.c @ eq.q_bar_diag)
+
+
+def qt_bar_trace(eq: EquivalentSet, params: ModelParams) -> complex:
+    """(1/p) tr Qtbar, from the stored form q_tilde without expanding it."""
+    return complex(_trace(eq.q_tilde, params)) / params.p
 
 
 def pair_traces(eq1: EquivalentSet, eq2: EquivalentSet, params: ModelParams):

@@ -38,14 +38,15 @@ with joint spectra (below) the anchors thin out: the step to the next
 anchor is sized from the measured error of the anchor's own cubic
 prediction (and halved after an anchor that had none), so that the
 interpolant through two anchors starts every point between them within
-about sqrt(tol) of its solution, one Newton step from tol
+about tol^(1/4) of its solution, two Newton steps from tol
 (`_anchor_step`). The grid points between two anchors start from the
 cubic Hermite interpolant through them and are corrected together by
 `_stacked_trial`, which applies the rules of `_trial` to every point of a
-stack at once; a stack holds at most p points. A point that its stack
-rejects takes the rest of a warm-started solve_g: the stack's trial stands
-for its own, and the continuation ladder follows. On any other model every
-grid point is an anchor.
+stack at once; a stack holds at most max(p, 2^16 // p) points, and the
+points it accepts are bound-checked and packaged stack-wide. A point that
+its stack rejects takes the rest of a warm-started solve_g: the stack's
+trial stands for its own, and the continuation ladder follows. On any
+other model every grid point is an anchor.
 
 Every evaluation goes through one kernel, `_trace_terms`, which inverts M.
 When the class covariances commute, `validate_model` stores their joint
@@ -61,7 +62,7 @@ C_a. M and M^{-1} are then (m, b, b) stacks in the same basis, so an
 inversion costs m inverses of size b. `_pair_traces`, `_q_tilde` and
 `_log_det_mixture` take either form, and `model._dense` expands it. In
 the joint-spectra form `_trace_terms`, `_pair_traces`, `_psi_jacobian`,
-`_psi_eval` and the half-plane, sign and bound checks also take a leading
+`_psi_eval` and the half-plane, sign and bound tests also take a leading
 axis of points, g of shape (P, k) at z of shape (P, 1), and return one
 result a point: the stacks of `_stacked_trial`.
 """
@@ -86,6 +87,10 @@ from .nonneg import spectral_radius
 
 # Residual denominators are guarded by this floor to avoid 0/0.
 _NORM_FLOOR = 1e-30
+# A fill stack of a commuting sweep holds at most max(p, _STACK_ENTRIES // p)
+# points, so that none of its (P, p) arrays has more entries than one p x p
+# covariance, or than a 256 x 256 one on smaller models.
+_STACK_ENTRIES = 2**16
 # Im z of the last ladder level for a real point its first trial rejects.
 _REAL_AXIS_ETA_FLOOR = 1e-9
 # Psi evaluations allowed for one trial: a warm start, a ladder level or a
@@ -237,16 +242,18 @@ def _pair_traces(left, right, params: ModelParams) -> np.ndarray:
 
     On a model with joint spectra lambda the operands are the diagonals of
     L and R in the joint eigenbasis (as `_trace_terms` returns M^{-1}), and
-    T = (lambda * l * r) lambda^T / p; (P, p) operands give a (P, k, k) T.
-    Otherwise the operands are (m, b, b)
-    stacks of diagonal blocks in the basis of `ModelParams.blocks`, and
-    the trace is the sum over the m blocks; when R is L the matrix is
+    T = (l * r) Lambda2^T / p is one product with the (k^2, p) products
+    Lambda2 = lambda_a lambda_b, formed in the call; (P, p) operands give a
+    (P, k, k) T without a (P, k, p) temporary. Otherwise the operands are
+    (m, b, b) stacks of diagonal blocks in the basis of `ModelParams.blocks`,
+    and the trace is the sum over the m blocks; when R is L the matrix is
     symmetric (cyclic trace with symmetric blocks) and only its upper
     triangle is computed. Real L and R give a real T.
     """
     if params.spectra is not None:
-        lam = params.spectra
-        return (lam * (left * right)[..., None, :]) @ lam.T / params.p
+        lam, k = params.spectra, params.k
+        pairs = (lam[:, None] * lam).reshape(k * k, -1)  # the products lambda_a lambda_b
+        return ((left * right) @ pairs.T / params.p).reshape(*left.shape[:-1], k, k)
     k = params.k
     x = _blocks_times(params.blocks, left)
     y = x if right is left else _blocks_times(params.blocks, right)
@@ -321,10 +328,17 @@ def _violates_signs(z, g):
     return bad if g.ndim > 1 else bool(bad)
 
 
-def _check_bound(z, g, params: ModelParams):
-    """c0 |g_a| <= 1/|Im z|, which `_trial` leaves unchecked."""
+def _exceeds_bound(z, g, params: ModelParams):
+    """True when c0 |g_a| > 1/|Im z| beyond a 1e-8 slack, the bound that
+    `_trial` leaves unchecked."""
     bound = 1.0 / abs(z.imag)
-    if (params.c0 * abs(g) > bound * (1.0 + 1e-8)).any():
+    over = (params.c0 * abs(g) > bound * (1.0 + 1e-8)).any(-1)
+    return over if g.ndim > 1 else bool(over)
+
+
+def _check_bound(z, g, params: ModelParams):
+    """Raise ConsistencyError unless c0 |g_a| <= 1/|Im z|."""
+    if _exceeds_bound(z, g, params):
         raise ConsistencyError(
             f"solution at z={z} violates c0 |g_a| <= 1/|Im z|"
         )
@@ -614,9 +628,11 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     rejected warm start needs no rule of its own: its error is large, and
     the formula shrinks the step. The points between two anchors then start
     from the cubic Hermite interpolant through them and their slopes, and
-    are corrected together by `_stacked_trial`, in stacks of at most p
-    points, so that no array of the stack holds more entries than one p x p
-    covariance. A point that its stack rejects takes the continuation
+    are corrected together by `_stacked_trial`, in stacks of at most
+    max(p, 2^16 // p) points, so that no array of a stack holds more
+    entries than one p x p covariance or one 256 x 256 one; the points a
+    stack accepts are checked against the |g| bound and packaged
+    stack-wide. A point that its stack rejects takes the continuation
     ladder within the budget its stack left, so that it spends and fails as
     solve_g warm-started from its interpolant would; only a point that a
     stack-wide event cut short (see `_stacked_trial`) first tries its
@@ -682,13 +698,14 @@ def _anchor_step(h1, h2, error, tol):
     With s = 1 + h2/h1 the cubic's remainder g^(4) (z - z0)^2 (z - z1)^2 / 24
     gives error ~ g^(4) h1^4 s^2 (s - 1)^2 / 24. The interpolant over the
     next step h3 errs by g^(4) h3^4 / 384 at its midpoint, which stays within
-    sqrt(tol), so that one Newton step takes a fill point to tol, when
-    h3 = h1 (16 s^2 (s - 1)^2 sqrt(tol) / error)^(1/4) (Hairer, Norsett &
+    tol^(1/4), so that two Newton steps take a fill point to tol (Deuflhard,
+    Newton Methods for Nonlinear Problems, 2011), when
+    h3 = h1 (16 s^2 (s - 1)^2 tol^(1/4) / error)^(1/4) (Hairer, Norsett &
     Wanner, Solving Ordinary Differential Equations I, 1993, II.4). The
     step is h3 rounded down, at most 2 h2 and at least 1.
     """
     s = 1.0 + h2 / h1
-    h3 = h1 * (16.0 * (s * (s - 1.0)) ** 2 * np.sqrt(tol) / error) ** 0.25 if error else np.inf
+    h3 = h1 * (16.0 * (s * (s - 1.0)) ** 2 * tol**0.25 / error) ** 0.25 if error else np.inf
     return max(1, int(min(2.0 * h2, h3)))
 
 
@@ -710,22 +727,39 @@ def _interpolate(z, z0, g0, d0, z1, g1, d1):
 
 def _fill(zs, points, rows, starts, params, opts):
     """Solve the grid points rows of zs into points from their starts, in
-    stacks of at most p points, each by `_stacked_trial`. A point that its
-    stack rejects takes the rest of a warm-started solve_g, with the
-    stack's evaluations spent: the continuation ladder, or, when a
-    stack-wide event cut its trial short, first a trial of its own."""
-    for lo in range(0, len(rows), params.p):
-        stack = rows[lo:lo + params.p]
+    stacks of at most max(p, _STACK_ENTRIES // p) points, each by
+    `_stacked_trial`.
+
+    The |g| bound is checked for the whole stack at once, and a point
+    accepted by its stack that violates it raises through `_check_bound`.
+    The other accepted points are packaged together: g, gt = -t/z and m
+    for the whole stack, each point's g and gt read-only rows of one array.
+    A point that its stack rejects takes the rest of a warm-started
+    solve_g, with the stack's evaluations spent: the continuation ladder,
+    or, when a stack-wide event cut its trial short, first a trial of its
+    own."""
+    size = max(params.p, _STACK_ENTRIES // params.p)
+    for lo in range(0, len(rows), size):
+        stack = rows[lo:lo + size]
         z = np.array([zs[i] for i in stack])[:, None]
         g, resid, evals, t, accepted, aborted = _stacked_trial(
-            z, starts[lo:lo + params.p], params, opts)
-        for n, i in enumerate(stack):
+            z, starts[lo:lo + size], params, opts)
+        over = accepted & _exceeds_bound(z, g, params)
+        done = np.flatnonzero(accepted & ~over)
+        if len(done):
+            g_tilde, m_mu = -t / z, params.c0 * (g @ params.c)
+            g.setflags(write=False)
+            g_tilde.setflags(write=False)
+            for n, i, m, r, e in zip(done, stack[done].tolist(), m_mu[done].tolist(),
+                                     resid[done].tolist(), evals[done].tolist()):
+                points[i] = ResolventPoint(z=zs[i], g=g[n], g_tilde=g_tilde[n], m_mu=m,
+                                           iterations=e, residual=r)
+        for n in np.flatnonzero(~accepted | over):
+            i = int(stack[n])
             zv, spent = zs[i], int(evals[n])
             try:
                 if accepted[n]:
-                    _check_bound(zv, g[n], params)
-                    points[i] = _finish(zv, g[n], resid[n], spent, t[n], params)
-                    continue
+                    _check_bound(zv, g[n], params)  # raises: the row is over the bound
                 _check_budget(zv, resid[n], spent, opts)
                 warm = starts[lo + n] if aborted[n] else None
                 g_i, resid_i, spent, t_i, _ = _solve_complex(zv, params, opts, warm, spent)

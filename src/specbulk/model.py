@@ -349,6 +349,16 @@ def _dense(op, params: ModelParams) -> np.ndarray:
     return out
 
 
+def _trace(op, params: ModelParams):
+    """The trace of the p x p matrix that `_dense` expands op to, taken from
+    op itself: the sum of a 1-D op, else the traces of its blocks, without
+    the padded entry of the odd block of an odd p."""
+    if op.ndim == 1:
+        return op.sum()
+    h = params.p // 2
+    return np.trace(op[0]) + (np.trace(op[1, :h, :h]) if len(op) == 2 else 0.0)
+
+
 def _in_form(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """A p x m matrix x in the orthogonal basis of the model's form: U^T x
     (x with no basis), a (1, p, m) view of x, or the (2, b, m) even and odd

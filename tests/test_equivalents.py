@@ -14,6 +14,7 @@ from specbulk.equivalents import (
     log_det_functional,
     omega_radius_bound,
     q_bar_trace,
+    qt_bar_trace,
     q_da_q_equivalent,
     qt_ca_qt_equivalent,
     qt_w_da_wt_qt_equivalent,
@@ -76,6 +77,16 @@ class TestFirstOrder:
             vals.append(sp.trace_q(z).real / threeclass128.n)
         mean, se = _mc_mean_se(vals)
         assert abs(mean - det.real) <= MC_SIGMAS * se
+
+    @pytest.mark.parametrize("form", sorted(form_models()))
+    def test_qt_bar_trace_from_stored_form(self, form):
+        # the trace from the stored form, the padded entry of an odd p's odd
+        # block left out, is the trace of the expanded p x p Qtbar
+        params = form_models()[form]
+        for z in (2.0 + 1.0j, -0.5):
+            eq = first_order(solve_g(z, params, OPTS), params)
+            ref = np.trace(eq.q_tilde_bar) / params.p
+            assert abs(qt_bar_trace(eq, params) - ref) <= 1e-14 * abs(ref)
 
     def test_trace_consistency_rejects_edited_point(self):
         # a point from solve_g agrees with its own traces; one whose g_tilde

@@ -439,61 +439,94 @@ class TestSolveGrid:
 
     @pytest.mark.parametrize("name", ["mp", "atom"])
     def test_each_point_counts_its_evaluations(self, monkeypatch, name):
-        # every evaluation made at a point's z counts in its iterations;
-        # only the first point takes the ladder, whose levels lie above it
+        # every evaluation made at a point's z counts in its iterations, and
+        # so do those of its ladder levels, which lie above it at its Re z
         params, zs = _shipped_grid(name)
         evals = _record_evaluations(monkeypatch)
+        ladders = _record_ladders(monkeypatch)
         pts = solve_grid(zs, params)
         assert sum(evals.values()) == sum(pt.iterations for pt in pts)
-        assert all(evals[pt.z] == pt.iterations for pt in pts[1:])
+        assert zs[0] in ladders
+        for pt in pts:
+            spent = evals[pt.z]
+            if pt.z in ladders:
+                spent += sum(n for z, n in evals.items() if z.real == pt.z.real and z != pt.z)
+            assert spent == pt.iterations
 
     @pytest.mark.parametrize("name", ["mp", "atom"])
-    def test_stacks_hold_at_most_p_points(self, monkeypatch, name):
+    def test_stacks_bounded_by_entries(self, monkeypatch, name):
+        # a stack holds at most max(p, 2^16 // p) points: the whole fill of
+        # a shipped grid is one stack
         params, zs = _shipped_grid(name)
         stacks = _record_stacks(monkeypatch)
         anchors = _record_anchors(monkeypatch)
         solve_grid(zs, params)
         sizes = [len(z) for z, _, _ in stacks]
-        assert sizes and max(sizes) <= params.p
+        assert len(sizes) == 1 and sizes[0] <= max(params.p, 2**16 // params.p)
+        assert sum(sizes) + len(anchors) == len(zs)
+
+    def test_stacks_split_at_their_entry_bound(self, monkeypatch):
+        # at p = 256 a stack holds at most 256 points, one 256 x 256 array
+        params = mp_params(1, 1, p=256)
+        zs = np.linspace(0.0, 5.0, 1001) + 1e-3j
+        stacks = _record_stacks(monkeypatch)
+        anchors = _record_anchors(monkeypatch)
+        solve_grid(zs, params)
+        sizes = [len(z) for z, _, _ in stacks]
+        assert len(sizes) > 1 and max(sizes) == 256
         assert sum(sizes) + len(anchors) == len(zs)
 
     @pytest.mark.parametrize("name", ["mp", "atom"])
     def test_fill_points_accepted_by_their_stacks(self, monkeypatch, name):
         # the anchor steps keep every interpolated start within reach of the
-        # stack's Newton steps: no fill point is rejected, and only the first
-        # point, which has no warm start, takes the ladder
+        # stack's Newton steps: no fill point is rejected, so every point
+        # that takes the ladder is an anchor, the first one among them
         params, zs = _shipped_grid(name)
         stacks = _record_stacks(monkeypatch)
-        ladders = []
-        ladder = fixed_point._ladder
-
-        def recording(z, *args):
-            ladders.append(z)
-            return ladder(z, *args)
-
-        monkeypatch.setattr(fixed_point, "_ladder", recording)
+        anchors = _record_anchors(monkeypatch)
+        ladders = _record_ladders(monkeypatch)
         solve_grid(zs, params)
         assert stacks and all(accepted.all() for _, _, (*_, accepted, _) in stacks)
-        assert ladders == [zs[0]]
+        assert ladders[0] == zs[0] and set(ladders) <= set(anchors)
+
+    def test_fill_point_over_the_bound_raises(self, monkeypatch):
+        # a fill point that its stack accepts with c0 |g| > 1/|Im z| raises
+        # ConsistencyError annotated with its grid index
+        params, zs = _shipped_grid("mp")
+        inner = fixed_point._stacked_trial
+        broken = []
+
+        def breaking(z, guess, params, opts):
+            g, resid, evals, t, accepted, aborted = inner(z, guess, params, opts)
+            rows = np.flatnonzero(accepted)
+            n = rows[len(rows) // 2]
+            g[n] = 2.0 / (params.c0 * abs(z[n, 0].imag))
+            broken.append(z[n, 0])
+            return g, resid, evals, t, accepted, aborted
+
+        monkeypatch.setattr(fixed_point, "_stacked_trial", breaking)
+        with pytest.raises(ConsistencyError, match="violates c0") as info:
+            solve_grid(zs, params)
+        assert str(info.value).startswith(f"grid index {list(zs).index(broken[0])} ")
 
     def test_anchor_step_follows_prediction_error(self, monkeypatch):
         # every anchor's prediction is its solution times 1 + eps, with eps
-        # rising from 1e-14 to 1e-3 over the first half of the grid and 1e-3
+        # rising from 1e-14 to 0.5 over three fifths of the grid and 0.5
         # after it: each step is the span
-        # h3 = h1 (16 s^2 (s - 1)^2 sqrt(tol) / E)^(1/4) from the measured
+        # h3 = h1 (16 s^2 (s - 1)^2 tol^(1/4) / E)^(1/4) from the measured
         # error E, rounded down, doubling at most and at least 1; the steps
         # double, shrink, and end at 1. At every grid index 4 mod 5 the
         # predictor instead returns g1, as it does when it does not trust
         # its cubic, and the step after that anchor halves
         params, zs = _shipped_grid("mp")
         exact = [pt.g for pt in solve_grid(zs, params)]
-        eps = np.minimum(np.logspace(-14, 8, len(zs)), 1e-3)
+        eps = np.minimum(np.logspace(-14, 8, len(zs)), 0.5)
         index = {z: i for i, z in enumerate(zs)}
         predict = fixed_point._predict
 
         def off_by_eps(z, z1, g1, *args):
-            i = index.get(z)  # None at the levels of the first point's ladder
-            if i is None:
+            i = index.get(z)  # None at the levels of a ladder
+            if i is None or z1 not in index:  # a ladder, the last level at a grid z
                 return predict(z, z1, g1, *args)
             return g1 if i % 5 == 4 else exact[i] * (1.0 + eps[i])
 
@@ -502,7 +535,7 @@ class TestSolveGrid:
         pts = solve_grid(zs, params)
         at = [index[z] for z in anchors]
         assert at[:3] == [0, 1, 2] and at[-1] == len(zs) - 1
-        sqrt_tol = np.sqrt(fixed_point.DEFAULT_OPTIONS.tol)
+        root_tol = fixed_point.DEFAULT_OPTIONS.tol ** 0.25
         doubled = shrunk = floored = halved = False
         for a, b, i, nxt in zip(at, at[1:], at[2:], at[3:]):
             h1, h2 = b - a, i - b
@@ -513,7 +546,7 @@ class TestSolveGrid:
                 guess = exact[i] * (1.0 + eps[i])
                 error = np.abs(pts[i].g - guess).max() / np.abs(pts[i].g).max()
                 s = 1.0 + h2 / h1
-                bound = 16.0 * s**2 * (s - 1.0) ** 2 * sqrt_tol
+                bound = 16.0 * s**2 * (s - 1.0) ** 2 * root_tol
                 h3 = h1 * (bound / error) ** 0.25 if error else np.inf
                 step = max(1, int(min(2 * h2, h3)))
                 doubled |= step == 2 * h2
@@ -733,6 +766,20 @@ def _record_stacks(monkeypatch):
 
     monkeypatch.setattr(fixed_point, "_stacked_trial", recording)
     return stacks
+
+
+def _record_ladders(monkeypatch):
+    """The list of z at which a solve takes the continuation ladder, filled
+    as it runs."""
+    ladders = []
+    inner = fixed_point._ladder
+
+    def recording(z, *args):
+        ladders.append(z)
+        return inner(z, *args)
+
+    monkeypatch.setattr(fixed_point, "_ladder", recording)
+    return ladders
 
 
 def _record_evaluations(monkeypatch):

@@ -46,8 +46,8 @@ CASES = [
 
 
 def _run(config, command, out):
-    return main([command, "--config", str(ROOT / "configs" / f"{config}.json"),
-                 "--out", str(out)])
+    path = config if isinstance(config, Path) else ROOT / "configs" / f"{config}.json"
+    return main([command, "--config", str(path), "--out", str(out)])
 
 
 def _print_unit(value):
@@ -132,17 +132,43 @@ def test_density_matches_closed_form(tmp_path, config, c0):
     # |g|, so each point's error is also held to 1e-11 of |m|/pi, which in
     # the tails is several times below 1e-11 of the peak
     assert _run(config, "density", tmp_path) == 0
-    rows = np.loadtxt(tmp_path / "density.csv", delimiter=",", skiprows=2)
-    eta = json.loads((tmp_path / "support.json").read_text())["eta"]
+    err, ref, m = _closed_form_errors(tmp_path, c0)
+    assert err.max() <= 1e-11 * ref.max()
+    assert (err <= 1e-11 * np.abs(m) / np.pi).all()
+
+
+@pytest.mark.parametrize("shift", [0.37, 0.81])
+@pytest.mark.parametrize("config, c0", [("mp", 1.0), ("atom", 0.5)])
+def test_shifted_density_matches_closed_form(tmp_path, config, c0, shift):
+    # the same grids moved by a fraction of a spacing, so that other points
+    # fall next to the edges and between anchors: each point's error within
+    # 1e-11 of |m|/pi. Not within 1e-11 of the peak: atom.json shifted by
+    # 0.81 errs by 6.1e-12 at its first point, x = 0.0081, whose residual
+    # is 2.5e-13
+    cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    grid = cfg["density"]
+    offset = shift * (grid["x_max"] - grid["x_min"]) / (grid["n_points"] - 1)
+    grid["x_min"] += offset
+    grid["x_max"] += offset
+    path = tmp_path / f"{config}.json"
+    path.write_text(json.dumps(cfg))
+    assert _run(path, "density", tmp_path) == 0
+    err, _, m = _closed_form_errors(tmp_path, c0)
+    assert (err <= 1e-11 * np.abs(m) / np.pi).all()
+
+
+def _closed_form_errors(out, c0):
+    """The error of each row of out/density.csv against the Marchenko-Pastur
+    density with ratio c0 at the run's eta, with that density and m."""
+    rows = np.loadtxt(out / "density.csv", delimiter=",", skiprows=2)
+    eta = json.loads((out / "support.json").read_text())["eta"]
     xs, dens = rows[:, 0], rows[:, 1]
     m = np.array([mp_stieltjes(complex(x, eta), c0) for x in xs])
     ref = np.maximum(m.imag / np.pi, 0.0)
     atom = max(0.0, 1.0 - c0)
     if atom:
         ref = np.clip(ref - atom * (eta / np.pi) / (xs**2 + eta**2), 0.0, None)
-    err = np.abs(dens - ref)
-    assert err.max() <= 1e-11 * ref.max()
-    assert (err <= 1e-11 * np.abs(m) / np.pi).all()
+    return np.abs(dens - ref), ref, m
 
 
 def _changed(name, new, old):
