@@ -139,9 +139,10 @@ def _parse_z(text: str) -> complex:
     if len(parts) != 2:
         raise ConfigError(f"--z expects RE,IM, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        values = [float(part) for part in parts]
     except ValueError as exc:
         raise ConfigError(f"--z expects numbers, got {text!r}") from exc
+    return _config_z(values, f"--z {text!r}")
 
 
 def _json_complex(z: complex):
@@ -335,6 +336,9 @@ def cmd_equivalents(cfg, digest, out_dir, z_values):
     if not isinstance(sigma2_list, list):
         raise ConfigError(f"sigma2 must be a list of numbers, got {sigma2_list!r}")
     sigma2_list = [_number(s2, f"sigma2[{i}]") for i, s2 in enumerate(sigma2_list)]
+    for i, s2 in enumerate(sigma2_list):
+        if not s2 > 0.0:
+            raise ConfigError(f"sigma2[{i}] must be positive, got {s2!r}")
     params = model_from_config(cfg)
     opts = solver_from_config(cfg)
     p1 = solve_g(z1, params, opts)

@@ -21,12 +21,14 @@ slope costs one k x k solve and no evaluation.
 
 Every start is a trial, `_trial`, which gives it _TRIAL_EVALS evaluations
 and gives up at its first stall: a warm start, each ladder level and a
-real point. At complex z it is rejected when it stalls or lands outside
-the admissible half-plane; a rejected warm start falls back to the ladder,
-a rejected level to a shorter step, and a rejected first level to a higher
-one. At a real x it is accepted only when the kernel Omega(x, x) at its
-fixed point has spectral radius below one, which places x outside the
-support (Silverstein & Choi, 1995). When that trial is rejected, the
+real point. Every Newton candidate is evaluated; no test screens the
+steps. At complex z the trial is rejected when it stalls or when its fixed
+point fails the half-plane signs of an admissible solution (the conjugate
+branch); a rejected warm start falls back to the ladder, a rejected level
+to a shorter step, and a rejected first level to a higher one. At a real
+x it is accepted only when the kernel Omega(x, x) at its fixed point has
+spectral radius below one, which places x outside the support
+(Silverstein & Choi, 1995). When that trial is rejected, the
 ladder descends to Im z ~ 1e-9 and one more trial starts from the real
 part of its solution; when that too is rejected, the solve fails. The
 trials of one solve share its budget SolverOptions.max_iter of
@@ -62,7 +64,7 @@ C_a. M and M^{-1} are then (m, b, b) stacks in the same basis, so an
 inversion costs m inverses of size b. `_pair_traces`, `_q_tilde` and
 `_log_det_mixture` take either form, and `model._dense` expands it. In
 the joint-spectra form `_trace_terms`, `_pair_traces`, `_psi_jacobian`,
-`_psi_eval` and the half-plane, sign and bound tests also take a leading
+`_psi_eval` and the sign and bound tests also take a leading
 axis of points, g of shape (P, k) at z of shape (P, 1), and return one
 result a point: the stacks of `_stacked_trial`.
 """
@@ -95,7 +97,7 @@ _STACK_ENTRIES = 2**16
 _REAL_AXIS_ETA_FLOOR = 1e-9
 # Psi evaluations allowed for one trial: a warm start, a ladder level or a
 # real point. A trial that does not reach tol within them (or that fails
-# its half-plane or rho(Omega) check) is rejected, and the solve falls back
+# its sign or rho(Omega) certificate) is rejected, and the solve falls back
 # to a safer start.
 _TRIAL_EVALS = 12
 # Points with |Im z| below this level are reached by a continuation ladder
@@ -311,15 +313,6 @@ def _psi_eval(g, z, params):
     return f, resid if g.ndim > 1 else float(resid), t, minv
 
 
-def _wrong_half_plane(candidate, z):
-    """True when a step jumps toward the conjugate branch; the real axis
-    has no half-plane."""
-    sign = np.sign(z.imag)
-    scale = abs(candidate).max(-1, keepdims=True) + _NORM_FLOOR
-    wrong = (sign * candidate.imag < -0.02 * scale).any(-1)
-    return wrong if candidate.ndim > 1 else bool(wrong)
-
-
 def _violates_signs(z, g):
     """True when Im g_a or Im z g_a has the wrong sign beyond a 1e-10 slack."""
     sign = 2.0 * (z.imag > 0) - 1.0  # -1 on the real axis
@@ -368,19 +361,18 @@ def _predict(z, z1, g1, d1, z0, g0, d0):
     (2s^3 - 3s^2 + 1) g0 + (s^3 - 2s^2 + s) h g0' + (3s^2 - 2s^3) g1
     + (s^3 - s^2) h g1', with O(h^4) error against the secant's O(h^2)
     (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 6). It is
-    trusted when it and the secant both lie in the admissible half-plane
-    and its correction to the secant is no larger than the secant's step
-    from g1; otherwise the start is the array g1 itself (solve_grid tells
-    the two apart by identity). Next to a hard edge or an atom at
-    zero, where g ~ z^{-1/2}, the cubic can land in the admissible
-    half-plane but far off, and the secant outside it.
+    trusted when its correction to the secant is no larger than the
+    secant's step from g1 and it passes the sign certificate of an
+    admissible solution, `_violates_signs`; otherwise the start is the
+    array g1 itself (solve_grid tells the two apart by identity). Next to a
+    hard edge or an atom at zero, where g ~ z^{-1/2}, the cubic can land
+    far off, or with the signs of the conjugate branch.
     """
     h = z1 - z0
     s = (z - z0) / h
     secant = g1 + (s - 1.0) * (g1 - g0)
     cubic = _hermite(s, h, g0, d0, g1, d1)
-    trusted = (abs(cubic - secant).max() <= abs(secant - g1).max()
-               and not _wrong_half_plane(secant, z) and not _wrong_half_plane(cubic, z))
+    trusted = abs(cubic - secant).max() <= abs(secant - g1).max() and not _violates_signs(z, cubic)
     return cubic if trusted else g1  # a NaN slope is never trusted
 
 
@@ -413,31 +405,31 @@ def _trial(z, guess, params, opts, spent=0):
 
     Each step solves (I - J) s = Psi(g) - g with J the exact k x k Jacobian
     of Psi at the current iterate and takes the first of s and s/2 whose
-    true residual is lower; a candidate on the wrong half-plane is skipped,
-    one where M is singular fails. The trial gives up at its first stall
+    true residual is lower; a candidate where M is singular fails, and no
+    other test screens them. The trial gives up at its first stall
     (neither is taken), when M is singular at the guess, or after
     min(_TRIAL_EVALS, opts.max_iter - spent) evaluations, spent being what
     the solve has used so far of its budget opts.max_iter; callers start
     no trial once that budget is spent.
 
     A g with ||Psi(g) - g||_inf <= tol ||g||_inf still needs its
-    certificate. At complex z, a g that violates the half-plane signs (a
-    fixed point on the conjugate branch) is rejected. At real z, g is
-    accepted only when the kernel Omega(z, z), the Jacobian of Psi at g, is
-    finite with spectral radius below one: z then lies outside the support
-    (Silverstein & Choi, 1995).
+    certificate, which alone keeps the conjugate branch out. At complex z,
+    a g that violates the half-plane signs of an admissible solution is
+    rejected. At real z, g is accepted only when the kernel Omega(z, z),
+    the Jacobian of Psi at g, is finite with spectral radius below one: z
+    then lies outside the support (Silverstein & Choi, 1995).
 
-    Returns (g, residual, evaluations, traces at g, J, rho(Omega)). J is
-    Omega at real z; at complex z, where rho is NaN, it is the last
-    Jacobian built, at the iterate the final step started from (at g when
-    the guess met tol). g is None when the trial is rejected, and
-    evaluations count either way. A rejected trial that leaves nothing of
-    the budget raises NonConvergenceError (`_check_budget`).
+    Returns (g, residual, evaluations, traces at g, J, M^{-1} at g). J is
+    Omega at real z; at complex z it is the last Jacobian built, at the
+    iterate the final step started from (at g when the guess met tol).
+    g is None when the trial is rejected, and evaluations count either
+    way. A rejected trial that leaves nothing of the budget raises
+    NonConvergenceError (`_check_budget`).
     """
     cap = min(_TRIAL_EVALS, opts.max_iter - spent)
     real = not isinstance(z, complex) and np.isrealobj(guess)
     g = np.asarray(guess, dtype=float if real else complex)
-    f, resid, evals, jac, rho = None, float("nan"), 1, None, float("nan")
+    f, resid, evals, jac = None, float("nan"), 1, None
     with np.errstate(all="ignore"):
         try:
             f, resid, t, minv = _psi_eval(g, z, params)
@@ -451,8 +443,6 @@ def _trial(z, guess, params, opts, spent=0):
                 break
             for frac in (1.0, 0.5):
                 candidate = g + frac * step
-                if _wrong_half_plane(candidate, z):
-                    continue
                 evals += 1
                 try:
                     f_c, resid_c, t_c, minv_c = _psi_eval(candidate, z, params)
@@ -471,12 +461,11 @@ def _trial(z, guess, params, opts, spent=0):
         if accepted and z.imag:
             accepted = not _violates_signs(z, g)
         elif accepted:
-            rho = spectral_radius(jac) if np.isfinite(jac).all() else rho
-            accepted = rho < 1.0
+            accepted = bool(np.isfinite(jac).all()) and spectral_radius(jac) < 1.0
     if accepted:
-        return g, resid, evals, t, jac, rho
+        return g, resid, evals, t, jac, minv
     _check_budget(z, resid, spent + evals, opts)
-    return None, float("nan"), evals, None, None, float("nan")
+    return None, float("nan"), evals, None, None, None
 
 
 def _ladder(z, params, opts, spent=0):
@@ -567,22 +556,24 @@ def solve_g(z, params: ModelParams, opts: SolverOptions | None = None,
             warm_start=None) -> ResolventPoint:
     """Solve the coupled fixed-point system at one complex point.
 
-    Points with |Im z| < 1 are reached by the adaptive continuation ladder
-    from Re z + i. A warm start is tried first as a trial start: it gets
-    _TRIAL_EVALS evaluations and is rejected, and the ladder taken, when it
-    stalls or lands outside the admissible half-plane. The returned point
-    passes the half-plane sign check of its trial and the |g| bound check.
+    z must be finite and nonzero. Points with |Im z| < 1 are reached by the
+    adaptive continuation ladder from Re z + i. A warm start is tried first
+    as a trial start: it gets _TRIAL_EVALS evaluations and is rejected, and
+    the ladder taken, when it stalls or its fixed point fails the
+    half-plane sign certificate (the conjugate branch). The returned point
+    passes the sign certificate of its trial and the |g| bound check.
     iterations counts every Psi evaluation, failed attempts included, and
     may not exceed opts.max_iter: a solve that runs out raises
-    NonConvergenceError. Real z
-    must lie outside the support (and away from 0). It is solved by a real
-    trial from the real part of the warm start or from the asymptote
-    -1/(c0 z), else by one from the real part of the ladder's solution at
-    Im z = 1e-9, and returned only with rho(Omega(z, z)) < 1.
+    NonConvergenceError. Real z must lie outside the support. It is solved
+    by a real trial from the real part of the warm start or from the
+    asymptote -1/(c0 z), else by one from the real part of the ladder's
+    solution at Im z = 1e-9, and returned only with rho(Omega(z, z)) < 1.
     """
     opts = opts or DEFAULT_OPTIONS
     params = _require_validated(params)
     z = complex(z)
+    if not np.isfinite(z):
+        raise ValidationError(f"z must be finite, got {z}")
     if z == 0:
         raise ValidationError("z = 0 is excluded (atom location)")
     if warm_start is not None:
@@ -612,8 +603,8 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     costs one k x k solve and no evaluation. A prediction the predictor
     does not trust is replaced by the previous solution. The first anchor,
     and any anchor whose warm start is rejected (it stalls within
-    _TRIAL_EVALS evaluations or lands outside the admissible half-plane),
-    goes through the continuation ladder.
+    _TRIAL_EVALS evaluations or converges to a point that fails the sign
+    certificate), goes through the continuation ladder.
 
     On a model with joint spectra the next anchor lies `step` grid points
     ahead. The step is 1 until the first cubic prediction, so the first
@@ -649,6 +640,9 @@ def solve_grid(zs, params: ModelParams, opts: SolverOptions | None = None):
     zs = [complex(zv) for zv in zs]
     if not zs:
         raise ValidationError("empty grid")
+    if not np.isfinite(zs).all():
+        i = int(np.flatnonzero(~np.isfinite(zs))[0])
+        raise ValidationError(f"grid index {i}: z must be finite, got {zs[i]}")
     if any(zv.imag == 0.0 for zv in zs):
         raise ValidationError(
             "solve_grid requires Im z != 0 for every point; use an explicit eta"
@@ -773,7 +767,7 @@ def _stacked_trial(z, guess, params, opts):
     """`_trial` at the complex points z, of shape (P, 1), from the guesses
     (P, k) on a model with joint spectra, with its rules applied to every
     point at once: Newton steps of 1 and 1/2 on the k x k systems of the
-    points still running, the half-plane guard, at most
+    points still running, every candidate evaluated, at most
     min(_TRIAL_EVALS, opts.max_iter) evaluations a point, and a stop at a
     point's first stall. A point is accepted with residual <= tol and its
     half-plane signs, as by `_trial`, which leaves the |g| bound unchecked.
@@ -806,8 +800,7 @@ def _stacked_trial(z, guess, params, opts):
             moved = np.zeros(len(at), dtype=bool)
             for frac in (1.0, 0.5):
                 candidate = g[at] + frac * step
-                tried = np.flatnonzero(~moved & (evals[at] < cap)
-                                       & ~_wrong_half_plane(candidate, z[at]))
+                tried = np.flatnonzero(~moved & (evals[at] < cap))
                 rows = at[tried]
                 if not len(rows):
                     continue

@@ -28,7 +28,6 @@ from .fixed_point import (
     _psi_eval,
     _psi_jacobian,
     _solve_small,
-    _trace_terms,
     _trial,
     solve_g,
     solve_grid,
@@ -226,12 +225,12 @@ def _certified_support(grid: DensityGrid, xs, candidates):
         for i in np.flatnonzero(candidates):
             if any(lo <= xs[i] <= hi for lo, hi in gaps):
                 continue
-            g, _, _, t, omega, _ = _trial(xs[i], np.real(grid.g[i]), params, opts)
+            g, _, _, t, omega, minv = _trial(xs[i], np.real(grid.g[i]), params, opts)
             if g is None:
                 continue
             u = np.append(g, xs[i])
             dh = np.concatenate([_identity(params.k) - omega, -params.c0 * g[:, None] ** 2], 1)
-            count = _count(xs[i], t, _trace_terms(g, xs[i], params)[1], params)
+            count = _count(xs[i], t, minv, params)
             lo = -np.inf
             if i > 0 and xs[i - 1] > 0.0:
                 lo = _trace_edge(u, dh, count, -1, max(xs[0], 0.0), h, params, opts)

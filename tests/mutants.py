@@ -25,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXED_POINT = "src/specbulk/fixed_point.py"
 SPECTRUM = "src/specbulk/spectrum.py"
+EQUIVALENTS = "src/specbulk/equivalents.py"
 
 # (file, exact text, replacement, name); the text must occur exactly once
 MUTANTS = [
@@ -33,7 +34,7 @@ MUTANTS = [
      "    bad = np.zeros(g.shape[:-1], dtype=bool)\n",
      "_violates_signs always false"),
     (FIXED_POINT,
-     "            accepted = rho < 1.0\n",
+     "            accepted = bool(np.isfinite(jac).all()) and spectral_radius(jac) < 1.0\n",
      "            accepted = True\n",
      "_trial accepts a real point without rho(Omega) < 1"),
     (FIXED_POINT,
@@ -58,10 +59,21 @@ MUTANTS = [
      "        over = np.zeros_like(accepted)\n",
      "_fill skips the stack-wide bound check"),
     (FIXED_POINT,
-     "                tried = np.flatnonzero(~moved & (evals[at] < cap)\n"
-     "                                       & ~_wrong_half_plane(candidate, z[at]))\n",
-     "                tried = np.flatnonzero(~moved & (evals[at] < cap))\n",
-     "_stacked_trial skips the half-plane guard"),
+     "    if x < 0 and (params.c0 * g <= 0).any():\n",
+     "    if False:\n",
+     "_solve_real without its c0 g > 0 check at x < 0"),
+    (EQUIVALENTS,
+     "    if residual > 1e-10:\n",
+     "    if False:\n",
+     "first_order without its Qtbar inversion-residual check"),
+    (EQUIVALENTS,
+     "    if rho >= 1.0:\n",
+     "    if False:\n",
+     "second_order_from_equivalents without its rho(Omega) >= 1 error"),
+    (FIXED_POINT,
+     "        if not (d > 0.0).all():\n",
+     "        if False:\n",
+     "_log_det_mixture without its d > 0 check on joint spectra"),
 ]
 
 

@@ -95,6 +95,17 @@ class TestSolveCommand:
         assert rc == 1
         assert "z = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["nan,1", "1,nan", "inf,1", "1,inf", "-inf,1", "1,-inf",
+                                      "1e400,1"])
+    def test_non_finite_z_rejected(self, tmp_path, capsys, text):
+        # a NaN or infinite part (1e400 reads as inf) is a config error, as
+        # it is in the config's solve.z, and nothing is written
+        cfg = _write_config(tmp_path, {"version": 1, "model": MP_MODEL})
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), f"--z={text}"])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_real_point_inside_support_is_numerical_error(self, tmp_path, capsys):
         # z = 2 sits inside the spectral bulk: no real-axis solve there is
         # certified by rho(Omega) < 1, which must surface as a numerical
@@ -254,6 +265,21 @@ class TestEquivalentsCommand:
         assert func["sigma2"] == 1.0
         assert np.isfinite(func["log_det"])
         assert len(func["class_traces"]) == 1
+
+    @pytest.mark.parametrize("sigma2", [-1.0, -9.0, 0.0])
+    def test_nonpositive_sigma2_rejected(self, tmp_path, capsys, monkeypatch, sigma2):
+        # sigma2 <= 0 would put the log-det solve at z = -sigma2 >= 0: in
+        # the support, beyond it, or at the excluded z = 0. It is a config
+        # error raised before any solve
+        monkeypatch.setattr("specbulk.cli.solve_g", lambda *args: pytest.fail("solved"))
+        cfg = _write_config(
+            tmp_path,
+            {"version": 1, "model": MP_MODEL,
+             "equivalents": {"z1": [0.0, 2.0], "z2": [0.0, -2.0]},
+             "sigma2": [1.0, sigma2]},
+        )
+        assert main(["equivalents", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "sigma2[1] must be positive" in capsys.readouterr().err
 
     def test_requires_points(self, tmp_path):
         cfg = _write_config(tmp_path, {"version": 1, "model": MP_MODEL})

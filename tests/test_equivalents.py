@@ -19,8 +19,9 @@ from specbulk.equivalents import (
     qt_ca_qt_equivalent,
     qt_w_da_wt_qt_equivalent,
     second_order,
+    second_order_from_equivalents,
 )
-from specbulk.errors import ConsistencyError, ValidationError
+from specbulk.errors import ConsistencyError, NearSupportError, ValidationError
 from specbulk.fixed_point import (
     SolverOptions,
     _psi_jacobian,
@@ -98,6 +99,19 @@ class TestFirstOrder:
         with pytest.raises(ConsistencyError, match="disagrees with gt_a"):
             first_order(edited, params)
 
+    def test_inversion_residual_rejects_near_singular_mixture(self):
+        # g a relative 1e-10 short of where M = I + sum c_b g_b C_b turns
+        # singular, with g_tilde consistent with it: the inversion of M
+        # leaves a residual near 1e-7, which Qtbar may not carry
+        params = form_models()["one_block"]
+        z = 1.0 + 0.5j
+        lam = np.linalg.eigvalsh(np.tensordot(params.c, params.blocks, 1)).max()
+        g = np.full(params.k, -(1.0 - 1e-10) / lam, dtype=complex)
+        t, _ = _trace_terms(g, z, params)
+        edited = dataclasses.replace(solve_g(z, params, OPTS), g=g, g_tilde=-t / z)
+        with pytest.raises(NearSupportError, match="solved to only"):
+            first_order(edited, params)
+
 
 class TestSecondOrder:
     def test_conjugate_pair_is_nonnegative(self, threeclass128):
@@ -127,6 +141,16 @@ class TestSecondOrder:
             else:
                 so = second_order(*points)
         assert 1.0 - so.spectral_radius_omega == pytest.approx(0.834 * eta, rel=1e-3)
+
+    def test_radius_at_one_or_more_rejected(self):
+        # Qtbar scaled until rho(Omega), quadratic in it, reaches 1.5: the
+        # kernel is refused, not returned with a warning
+        params = mp_params(1, 2, p=16)
+        eq = first_order(solve_g(1.5 + 0.1j, params, OPTS), params)
+        rho = second_order_from_equivalents(eq, eq, params).spectral_radius_omega
+        scaled = dataclasses.replace(eq, q_tilde=eq.q_tilde * np.sqrt(1.5 / rho))
+        with pytest.raises(NearSupportError, match="rho"):
+            second_order_from_equivalents(scaled, scaled, params)
 
     def test_scalar_response(self):
         params = mp_params(1, 1, p=8)
@@ -476,6 +500,21 @@ class TestLogDet:
         eq = first_order(solve_g(-sigma2, params, OPTS), params)
         trace = np.trace(eq.q_tilde_bar).real
         assert abs(fd - trace) <= 1e-7 * abs(trace)
+
+    @pytest.mark.parametrize("form", ["identity_p_below_n", "one_block"])
+    def test_rejects_indefinite_mixture(self, form):
+        # a point at z = -1 edited so that M = I + sum c_b g_b C_b has an
+        # eigenvalue -1: log det M is refused, on the eigenvalues of M with
+        # joint spectra and by the Cholesky factors of its blocks otherwise
+        params = form_models()[form]
+        if params.spectra is None:
+            lam = np.linalg.eigvalsh(np.tensordot(params.c, params.blocks, 1)).max()
+        else:
+            lam = (params.c @ params.spectra).max()
+        point = solve_g(-1.0, params, OPTS)
+        edited = dataclasses.replace(point, g=np.full(params.k, -2.0 / lam, dtype=complex))
+        with pytest.raises(ConsistencyError, match="not positive definite"):
+            log_det_at(edited, params)
 
     def test_rejects_nonpositive_sigma2(self):
         params = mp_params(1, 1, p=8)

@@ -7,7 +7,7 @@ import pytest
 from helpers import THREECLASS_SPECS, mp_density, mp_edges, mp_params, threeclass_params
 
 from specbulk.errors import ValidationError
-from specbulk.fixed_point import DEFAULT_OPTIONS, SolverOptions, _trace_terms, _trial, solve_g
+from specbulk.fixed_point import DEFAULT_OPTIONS, SolverOptions, _trial, solve_g
 from specbulk.model import CovarianceSpec, ModelParams, build_covariance, validate_model
 from specbulk.montecarlo import sample_w, trial_seed, zero_eigenvalue_count
 from specbulk.spectrum import (
@@ -220,9 +220,9 @@ class TestSupportDetect:
         # counts, and the last is counted by nu(M) alone
         params = (threeclass256 if model == "threeclass"
                   else mp_params(1, 2, p=16) if model == "atom" else _orthogonal_params(0.3))
-        g, _, _, t, _, _ = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
+        g, _, _, t, _, minv = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
         assert g is not None
-        assert _count(x, t, _trace_terms(g, x, params)[1], params) == count
+        assert _count(x, t, minv, params) == count
 
     @pytest.mark.parametrize("x, toward, edge", [
         # without the count test, the left traces from 3.65 and 4.1 land on
@@ -231,9 +231,9 @@ class TestSupportDetect:
     ])
     def test_trace_reaches_its_own_edge(self, x, toward, edge):
         params = threeclass_params(64)
-        g, _, _, t, omega, _ = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
+        g, _, _, t, omega, minv = _trial(x, solve_g(x, params).g.real, params, DEFAULT_OPTIONS)
         dh = np.hstack([np.eye(3) - omega, -params.c0 * g[:, None] ** 2])
-        count = _count(x, t, _trace_terms(g, x, params)[1], params)
+        count = _count(x, t, minv, params)
         bound = 0.0 if toward < 0 else 30.0
         reached = _trace_edge(np.r_[g, x], dh, count, toward, bound, 0.05, params,
                               DEFAULT_OPTIONS)
